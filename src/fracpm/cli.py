@@ -24,7 +24,7 @@ import numpy as np
 from . import fieldio, oracles, verify
 from .errors import BlowUpError, ConfigError, FracpmError
 from .evolution import evolve, initial_perturbation, precompute_singular_field
-from .geometry import ensure_offgrid, exponent_fit, probe_distances
+from .geometry import ensure_offgrid, exponent_fit, power_constant_fit, probe_distances
 from .grid import FracParams, ScalarField
 from .runconfig import RunConfig, load_config
 from .spectral import alpha_from_fracfield
@@ -99,14 +99,19 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     report = {"epsilon": p.epsilon, "dimension": cfg.dimension, "fits": fits}
 
     if cfg.sign_check:
+        # alpha ~ d^gamma, gamma = -2 s with s the leading power of |F|, so
+        # alpha'' leads with sign(gamma (gamma - 1)); the pointwise value is
+        # only reported: its subleading term can dominate (see C05)
+        gamma = -2.0 * power_constant_fit(d, field_vals)[0]
         d_sign = probe_distances(max(cfg.probes_d_min, 1e-3), 1e-2, 8)
         pts_sign, _ = _probe_points(cfg, geom, d_sign)
         _, _, second = oracles.alpha_H_and_derivatives(geom, p, pts_sign)
         want = float(np.sign(1.0 - 2.0 * p.epsilon))
         report["sign_check"] = {
             "expected_sign": want,
+            "gamma": gamma,
             "min_signed_value": float(np.min(want * second)),
-            "all_correct": bool(np.all(want * second > 0)),
+            "all_correct": bool(np.sign(gamma * (gamma - 1.0)) == want),
         }
 
     fieldio.write_csv(
@@ -140,6 +145,7 @@ def cmd_evolve(cfg: RunConfig, outdir: str, seed: int | None) -> int:
         )
 
     def dump(traj, status: str):
+        iters = traj.cg_iterations  # empty for the explicit scheme
         fieldio.write_csv(
             os.path.join(outdir, "series.csv"),
             ("t", "l2_w", "linf_u", "mean_u", "energy"),
@@ -161,6 +167,8 @@ def cmd_evolve(cfg: RunConfig, outdir: str, seed: int | None) -> int:
                 "snapshots": len(traj.snapshots),
                 "final_l2_w": traj.l2_w[-1],
                 "final_linf_u": traj.linf_u[-1],
+                "cg_iterations": {"total": sum(iters), "max": max(iters, default=0),
+                                  "mean": sum(iters) / max(len(iters), 1)},
             },
         )
 

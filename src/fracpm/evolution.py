@@ -24,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import eye as speye
+from scipy.sparse.linalg import splu
 
 from .errors import BlowUpError, ConfigError, LinearAlgebraError
 from .geometry import JumpSet1D, weight_profile
 from .grid import FracParams, PeriodicGrid, ScalarField
-from . import spectral
+from . import linearop, spectral
 
 
 @dataclass
@@ -69,6 +71,7 @@ class Trajectory:
     mean_u: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
+    cg_iterations: list = field(default_factory=list)  # per semi-implicit step
 
     def record(self, t, w: ScalarField, u_values, energy, take_snapshot=False):
         self.times.append(float(t))
@@ -190,42 +193,55 @@ def _pcg(apply_a, b, precond, tol, maxiter):
 
 
 class SemiImplicitStepper:
-    """One (I - dt div(alpha grad)) solve per step, spectral preconditioner."""
+    """One (I - dt div(alpha grad)) solve per step by preconditioned CG.
+
+    1D preconditions with I + dt A_fd (conservative FD matrix on face means
+    of the first alpha received), factored once: alpha is dominated by the
+    fixed singular field, and a stale factor costs iterations, not accuracy.
+    If CG fails with it (alpha rough at the grid scale, where A_fd weighs
+    the Nyquist modes the spectral operator annihilates), the step and the
+    rest of the run use the FFT solve at mean(alpha) that 2D always uses; a
+    2D five-point factor cost about seven FFT solves and saved no iterations.
+    """
 
     def __init__(self, grid: PeriodicGrid, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
-        if grid.dim == 1:
-            k = grid.wavenumbers()
-            self.k2 = (np.pi * k) ** 2
-        else:
-            kx, ky = grid.wavenumbers()
-            self.k2 = np.pi**2 * (kx**2 + ky**2)
+        self.last_iterations = 0  # CG iterations of the last advance, failures included
+        self._fd_solve = None  # False once CG has failed with it
+
+    def _precond(self, alpha: np.ndarray):
+        g, dt = self.grid, self.cfg.dt
+        if g.dim == 1 and self._fd_solve is None:
+            faces = 0.5 * (alpha + np.roll(alpha, 1))
+            m = speye(g.n) + dt * linearop.assemble_sparse(g, faces)
+            self._fd_solve = splu(m.tocsc()).solve
+        if self._fd_solve:
+            return self._fd_solve
+        ops = spectral.spectral_ops(g)
+        sym = 1.0 + dt * float(np.mean(alpha)) * ops.k2
+        return lambda r: ops.inverse(ops.forward(r.reshape(g.shape)) / sym).reshape(-1)
 
     def advance(self, w: ScalarField, alpha: np.ndarray) -> ScalarField:
-        g = self.grid
-        dt = self.cfg.dt
+        g, dt = self.grid, self.cfg.dt
+        tol, maxiter = self.cfg.tolerance, self.cfg.max_linear_iter
         alpha_field = ScalarField(g, alpha)
 
         def apply_a(v):
             vf = ScalarField(g, v.reshape(g.shape))
-            out = vf.values - dt * spectral.pm_divergence_form(alpha_field, vf).values
-            return out.reshape(-1)
+            return v - dt * spectral.pm_divergence_form(alpha_field, vf).values.ravel()
 
-        mean_alpha = float(np.mean(alpha))
-        sym = 1.0 + dt * mean_alpha * self.k2
+        def solve():
+            return _pcg(apply_a, w.values.ravel(), self._precond(alpha), tol, maxiter)
 
-        def precond(r):
-            rf = r.reshape(g.shape)
-            return (np.fft.ifftn(np.fft.fftn(rf) / sym).real).reshape(-1)
-
-        sol, _ = _pcg(
-            apply_a,
-            w.values.reshape(-1),
-            precond,
-            self.cfg.tolerance,
-            self.cfg.max_linear_iter,
-        )
+        try:
+            sol, self.last_iterations = solve()
+        except LinearAlgebraError:
+            if not self._fd_solve:  # 2D, or 1D already on the FFT solve
+                raise
+            self._fd_solve = False
+            sol, iters = solve()
+            self.last_iterations = maxiter + iters
         return ScalarField(g, sol.reshape(g.shape))
 
 
@@ -260,6 +276,7 @@ def evolve(
     for i in range(1, steps + 1):
         if stepper is not None:
             w = stepper.advance(w, alpha)
+            traj.cg_iterations.append(stepper.last_iterations)
         else:
             alpha_field = ScalarField(grid, alpha)
             w = ScalarField(

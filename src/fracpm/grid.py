@@ -100,13 +100,6 @@ class ScalarField:
             )
         self.values = v
 
-    @classmethod
-    def from_callable(cls, grid: PeriodicGrid, fn) -> "ScalarField":
-        if grid.dim == 1:
-            return cls(grid, fn(grid.nodes()))
-        X, Y = grid.nodes()
-        return cls(grid, fn(X, Y))
-
     def mean(self) -> float:
         return float(np.mean(self.values))
 
@@ -133,9 +126,3 @@ class SpectralCoeffs:
                 f"coefficient shape {v.shape} does not match grid {self.grid.shape}"
             )
         self.values = v
-
-    def conj_symmetry_defect(self) -> float:
-        """Max |c(k) - conj(c(-k))|; zero (to round-off) for real fields."""
-        v = self.values
-        flipped = np.conj(np.roll(np.flip(v), 1, axis=tuple(range(v.ndim))))
-        return float(np.max(np.abs(v - flipped)))

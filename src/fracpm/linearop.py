@@ -159,23 +159,12 @@ def near_null_overlap(A: np.ndarray, indicators: np.ndarray) -> float:
     return float(np.min(s))
 
 
-def rayleigh_quotient(A: np.ndarray, v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=float).ravel()
-    return float(v @ (A @ v) / (v @ v))
-
-
-def quadratic_form(A: np.ndarray, w: np.ndarray) -> float:
-    """The nodal quadratic form w^T A w of the assembled matrix."""
-    w = np.asarray(w, dtype=float).ravel()
-    return float(w @ (A @ w))
-
-
 def form_value(u: ScalarField, v: ScalarField, alpha: ScalarField) -> float:
     """Energy form: integral of alpha * (grad u . grad v) over the box.
 
     Gradients are spectral, the product is pointwise, and the integral is
     the trapezoid rule (a plain cell-volume sum on the periodic torus).
-    Cross-check: h^N * quadratic_form(A, u) agrees with form_value(u, u)
+    Cross-check: h^N * u^T A u agrees with form_value(u, u)
     to O(h^2) when A is assembled from the same coefficient.
     """
     from .spectral import gradient

@@ -14,14 +14,17 @@ div(alpha * grad w) is assembled from first-order spectral derivatives with
 the pointwise product in physical space.
 
 Real output: all first-order multipliers here are odd in k, so on an even
-grid the Nyquist coefficient (real for real input) is mapped to a purely
-imaginary one; taking the real part of the inverse transform annihilates
-exactly that contribution and nothing else.
+grid they would map the (real) Nyquist coefficient of a real field to an
+imaginary one. They are zero on the Nyquist plane of their axis instead,
+which is exactly what taking the real part of a complex inverse FFT did.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.fft
 
 from .grid import FracParams, PeriodicGrid, ScalarField, SpectralCoeffs
 
@@ -51,62 +54,63 @@ def dft_inverse(c: SpectralCoeffs) -> ScalarField:
     return ScalarField(c.grid, np.fft.ifftn(phase * c.values * norm).real)
 
 
-def frac_multiplier_1d(grid: PeriodicGrid, p: FracParams) -> np.ndarray:
-    """m(k) = i pi k / |k|^epsilon with m(0) = 0, FFT layout."""
-    k = grid.wavenumbers() if grid.dim == 1 else grid.wavenumbers()[0]
-    absk = np.abs(k)
-    scale = np.zeros_like(absk)
-    nz = absk > 0
-    scale[nz] = absk[nz] ** (-p.epsilon)
-    return 1j * np.pi * k * scale
+class SpectralOps:
+    """Real-FFT transforms and multipliers of one grid (rfftn layout),
+    cached per (grid, epsilon) by `spectral_ops` and shared: all read-only.
+    deriv[a] = i pi k_a, zero on the Nyquist plane of axis a; k2 = pi^2 |k|^2;
+    with epsilon, smooth = |k|^-eps and frac = i pi k_x |k|^-eps (0 at k = 0).
+    """
+
+    def __init__(self, grid: PeriodicGrid, epsilon: float | None = None):
+        n, self.shape = grid.n, grid.shape
+        half = np.arange(n // 2 + 1.0)
+        k = [half] if grid.dim == 1 else np.meshgrid(
+            np.fft.fftfreq(n, d=1.0 / n), half, indexing="ij"
+        )
+        self.deriv = [np.where(np.abs(ka) == n // 2, 0j, 1j * np.pi * ka) for ka in k]
+        absk2 = sum(ka * ka for ka in k)
+        self.k2, absk = np.pi**2 * absk2, np.sqrt(absk2)
+        arrays = [*self.deriv, self.k2]
+        if epsilon is not None:
+            self.smooth = np.zeros_like(absk)
+            self.smooth[absk > 0] = absk[absk > 0] ** (-epsilon)
+            self.frac = self.deriv[0] * self.smooth
+            arrays += [self.smooth, self.frac]
+        for a in arrays:
+            a.flags.writeable = False
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return scipy.fft.rfftn(values)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        return scipy.fft.irfftn(coeffs, s=self.shape)
 
 
-def smoothing_multiplier(grid: PeriodicGrid, p: FracParams) -> np.ndarray:
-    """|k|^{-epsilon} on the full wavevector lattice, zero at k = 0."""
-    if grid.dim == 1:
-        absk = np.abs(grid.wavenumbers())
-    else:
-        kx, ky = grid.wavenumbers()
-        absk = np.sqrt(kx**2 + ky**2)
-    out = np.zeros_like(absk)
-    nz = absk > 0
-    out[nz] = absk[nz] ** (-p.epsilon)
-    return out
+@functools.lru_cache(maxsize=64)
+def spectral_ops(grid: PeriodicGrid, epsilon: float | None = None) -> SpectralOps:
+    return SpectralOps(grid, epsilon)
 
 
 def frac_derivative_1d(f: ScalarField, p: FracParams) -> ScalarField:
     """Fractional derivative of order 1 - epsilon of a 1D field."""
     if f.grid.dim != 1:
         raise ValueError("frac_derivative_1d expects a 1D field")
-    c = np.fft.fft(f.values)
-    out = np.fft.ifft(c * frac_multiplier_1d(f.grid, p)).real
-    return ScalarField(f.grid, out)
+    ops = spectral_ops(f.grid, p.epsilon)
+    return ScalarField(f.grid, ops.inverse(ops.frac * ops.forward(f.values)))
 
 
 def gradient(f: ScalarField) -> list:
     """First-order spectral partial derivatives, one real field per axis."""
-    g = f.grid
-    c = np.fft.fftn(f.values)
-    if g.dim == 1:
-        k = g.wavenumbers()
-        return [ScalarField(g, np.fft.ifft(1j * np.pi * k * c).real)]
-    kx, ky = g.wavenumbers()
-    dx = np.fft.ifftn(1j * np.pi * kx * c).real
-    dy = np.fft.ifftn(1j * np.pi * ky * c).real
-    return [ScalarField(g, dx), ScalarField(g, dy)]
+    ops = spectral_ops(f.grid)
+    c = ops.forward(f.values)
+    return [ScalarField(f.grid, ops.inverse(m * c)) for m in ops.deriv]
 
 
 def divergence(fields: list) -> ScalarField:
     g = fields[0].grid
-    if g.dim == 1:
-        k = g.wavenumbers()
-        out = np.fft.ifft(1j * np.pi * k * np.fft.fft(fields[0].values)).real
-        return ScalarField(g, out)
-    kx, ky = g.wavenumbers()
-    cx = np.fft.fftn(fields[0].values)
-    cy = np.fft.fftn(fields[1].values)
-    out = np.fft.ifftn(1j * np.pi * (kx * cx + ky * cy)).real
-    return ScalarField(g, out)
+    ops = spectral_ops(g)
+    c = sum(m * ops.forward(f.values) for m, f in zip(ops.deriv, fields))
+    return ScalarField(g, ops.inverse(c))
 
 
 def frac_gradient_2d(f: ScalarField, p: FracParams) -> ScalarField:
@@ -119,15 +123,8 @@ def frac_gradient_2d(f: ScalarField, p: FracParams) -> ScalarField:
         raise ValueError("frac_gradient_2d expects a 2D field")
     gx, gy = gradient(f)
     mag = np.sqrt(gx.values**2 + gy.values**2)
-    c = np.fft.fftn(mag) * smoothing_multiplier(f.grid, p)
-    return ScalarField(f.grid, np.fft.ifftn(c).real)
-
-
-def frac_gradient_magnitude(f: ScalarField, p: FracParams) -> ScalarField:
-    """Dimension dispatch: |D^{1-eps} f| in 1D, smoothed |grad f| in 2D."""
-    if f.grid.dim == 1:
-        return ScalarField(f.grid, np.abs(frac_derivative_1d(f, p).values))
-    return frac_gradient_2d(f, p)
+    ops = spectral_ops(f.grid, p.epsilon)
+    return ScalarField(f.grid, ops.inverse(ops.smooth * ops.forward(mag)))
 
 
 def alpha_from_fracfield(v: np.ndarray) -> np.ndarray:
@@ -143,6 +140,7 @@ def pm_divergence_form(alpha: ScalarField, w: ScalarField) -> ScalarField:
     exactly zero mean coefficient; this is what makes the semi-implicit step
     conserve the mean to round-off.
     """
-    grads = gradient(w)
-    fluxes = [ScalarField(w.grid, alpha.values * g.values) for g in grads]
-    return divergence(fluxes)
+    ops = spectral_ops(w.grid)
+    c = ops.forward(w.values)
+    flux = sum(m * ops.forward(alpha.values * ops.inverse(m * c)) for m in ops.deriv)
+    return ScalarField(w.grid, ops.inverse(flux))

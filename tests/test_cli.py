@@ -54,6 +54,23 @@ def test_fracfield_artifacts(tmp_path):
     assert header["n"] == 256 and field.values.shape == (256,)
 
 
+def test_fracfield_sign_check_judges_the_leading_term(tmp_path):
+    # at eps = 0.55 the pointwise alpha'' on [1e-3, 1e-2] has the wrong sign
+    # (its subleading term dominates there); the leading exponent decides
+    cfg = write_cfg(
+        tmp_path,
+        BASE_1D.replace("epsilon = 0.7", "epsilon = 0.55")
+        + "probes.sign_check = true\n",
+    )
+    out = tmp_path / "out"
+    assert main(["fracfield", "--config", cfg, "--out", str(out)]) == 0
+    check = json.loads((out / "fracfield_report.json").read_text())["sign_check"]
+    assert check["expected_sign"] == -1.0
+    assert check["gamma"] == pytest.approx(2.0 - 2.0 * 0.55, abs=0.05)
+    assert check["min_signed_value"] < 0.0
+    assert check["all_correct"] is True
+
+
 def test_evolve_artifacts_and_determinism(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -75,6 +92,9 @@ def test_evolve_artifacts_and_determinism(tmp_path):
     assert report["status"] == "completed"
     assert report["seed"] == 3
     assert report["steps_recorded"] == 10
+    cg = report["cg_iterations"]
+    assert set(cg) == {"total", "mean", "max"}
+    assert 0 < cg["max"] <= 500 and cg["mean"] == pytest.approx(cg["total"] / 10)
     assert (out1 / "evolve_report.json").read_bytes() == (
         out2 / "evolve_report.json"
     ).read_bytes()
@@ -159,6 +179,7 @@ def test_blow_up_exits_4_with_diagnostics(tmp_path, monkeypatch):
 
     report = json.loads((out / "evolve_report.json").read_text())
     assert report["status"].startswith("blow-up")
+    assert report["cg_iterations"] == {"total": 0, "mean": 0.0, "max": 0}
     assert (out / "series.csv").exists()
     last, header = fieldio.read_field(str(out / "w_last_good.field"))
     assert np.all(np.isfinite(last.values))

@@ -13,6 +13,7 @@ from fracpm.evolution import (
 )
 from fracpm.geometry import JumpSet1D
 from fracpm.grid import FracParams, PeriodicGrid, ScalarField
+from fracpm import spectral
 from fracpm.spectral import dft_forward
 
 from conftest import offgrid
@@ -101,6 +102,89 @@ def test_semi_implicit_single_mode_factor():
     w = ScalarField(grid, np.sin(np.pi * grid.axis_nodes()))
     out = stepper.advance(w, np.ones(grid.shape))
     assert np.max(np.abs(out.values - w.values / (1.0 + dt * np.pi**2))) < 1e-12
+
+
+def test_fd_preconditioned_advance_matches_fft_preconditioned_solve(run_1d):
+    """The 1D FD preconditioner changes the iterations, not the solution.
+    I - dt L >= I, so two solves with relative residual <= tol differ by
+    at most 2 tol |b|."""
+    grid, geom, S = run_1d
+    cfg = SolverConfig(dt=2e-3, tolerance=1e-12)
+    w = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=6)
+    alpha = evo.diffusion_coefficient(grid, P, S, w)
+    stepper = SemiImplicitStepper(grid, cfg)
+    got = stepper.advance(w, alpha).values
+
+    alpha_field = ScalarField(grid, alpha)
+    sym = 1.0 + cfg.dt * np.mean(alpha) * (np.pi * grid.wavenumbers()) ** 2
+
+    def apply_a(v):
+        vf = ScalarField(grid, v)
+        return v - cfg.dt * spectral.pm_divergence_form(alpha_field, vf).values
+
+    def fft_precond(r):
+        return np.fft.ifft(np.fft.fft(r) / sym).real
+
+    want, fft_iters = evo._pcg(apply_a, w.values, fft_precond, cfg.tolerance, 500)
+    b = np.linalg.norm(w.values)
+    assert np.linalg.norm(got - want) <= 2.0 * cfg.tolerance * b
+    assert stepper.last_iterations < fft_iters
+
+
+def test_fd_preconditioner_iterations_at_c09_config():
+    grid = PeriodicGrid(1, 512)
+    geom = offgrid(JumpSet1D.symmetric_step(), grid)
+    p = FracParams(0.3)
+    w0 = initial_perturbation(grid, geom, kind="mode", amplitude=1e-3, taper=True)
+    cfg = SolverConfig(dt=2e-3, tolerance=1e-12)
+    traj = evolve(grid, geom, p, w0, cfg, n_steps=20)
+    assert len(traj.cg_iterations) == 20
+    assert max(traj.cg_iterations) <= 40
+
+
+def _count_fd_builds(monkeypatch):
+    builds = []
+    assemble = evo.linearop.assemble_sparse
+
+    def counted(grid, faces):
+        builds.append(1)
+        return assemble(grid, faces)
+
+    monkeypatch.setattr(evo.linearop, "assemble_sparse", counted)
+    return builds
+
+
+def test_stale_fd_factor_converges_on_rough_noise(run_1d, monkeypatch):
+    """Large untapered noise moves alpha far from the alpha the factor was
+    built on; CG still converges and the mean is still conserved."""
+    grid, geom, S = run_1d
+    builds = _count_fd_builds(monkeypatch)
+    w0 = initial_perturbation(grid, geom, kind="noise", amplitude=0.5, taper=False, seed=4)
+    cfg = SolverConfig(dt=1e-4)
+    traj = evolve(grid, geom, P, w0, cfg, n_steps=50, singular_field=S)
+    mean = np.asarray(traj.mean_u)
+    assert len(builds) == 1
+    assert max(traj.cg_iterations) < cfg.max_linear_iter
+    assert np.max(np.abs(mean - mean[0])) < 1e-10
+    assert traj.l2_w[-1] < traj.l2_w[0]
+
+
+def test_fd_failure_falls_back_to_fft_solve(run_1d, monkeypatch):
+    """Where the FD factor fails within max_linear_iter, the step is solved
+    again with the FFT preconditioner, which the run keeps from then on."""
+    grid, geom, _ = run_1d
+    p = FracParams(0.3)
+    S = precompute_singular_field(grid, geom, p)
+    builds = _count_fd_builds(monkeypatch)
+    w0 = initial_perturbation(grid, geom, kind="noise", amplitude=0.5, taper=False, seed=4)
+    cfg = SolverConfig(dt=2e-3, max_linear_iter=120)
+    traj = evolve(grid, geom, p, w0, cfg, n_steps=10, singular_field=S)
+    iters = traj.cg_iterations
+    failed = [i for i, it in enumerate(iters) if it > cfg.max_linear_iter]
+    assert len(failed) == 1 and len(builds) == 1
+    assert all(it < cfg.max_linear_iter for it in iters[failed[0] + 1:])
+    mean = np.asarray(traj.mean_u)
+    assert np.max(np.abs(mean - mean[0])) < 1e-10
 
 
 def test_cross_scheme_agreement_is_second_order():

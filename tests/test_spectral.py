@@ -91,15 +91,92 @@ def test_divergence_is_negative_adjoint_of_gradient():
 
 
 def test_frac_multiplier_properties():
+    # half-spectrum layout k = 0..128; the k < 0 half is implied by the
+    # conjugate symmetry of a real field, so m is odd by construction
     grid = PeriodicGrid(1, 256)
     p = FracParams(0.7)
-    m = sp.frac_multiplier_1d(grid, p)
-    k = grid.wavenumbers()
+    m = sp.spectral_ops(grid, p.epsilon).frac
+    k = np.arange(129)
+    assert m.shape == (129,) and not m.flags.writeable
     assert m[0] == 0.0
     body = slice(1, 128)
-    assert np.max(np.abs(m[body] + m[-1:-128:-1])) < 1e-12  # odd in k
-    mags = np.pi * np.abs(k[body]) ** (1.0 - p.epsilon)
+    assert np.all(m[body].real == 0.0) and np.all(m[body].imag > 0.0)
+    mags = np.pi * k[body] ** (1.0 - p.epsilon)
     assert np.max(np.abs(np.abs(m[body]) - mags)) < 1e-11
+    assert m[128] == 0.0  # Nyquist
+
+
+def _complex_fft_reference(grid, eps):
+    """The full complex-FFT formulas: multipliers on grid.wavenumbers(),
+    real part of the inverse transform. An independent oracle for the
+    cached real-FFT operators."""
+    k = [grid.wavenumbers()] if grid.dim == 1 else list(grid.wavenumbers())
+    absk = np.sqrt(sum(ka**2 for ka in k))
+    smooth = np.zeros_like(absk)
+    smooth[absk > 0] = absk[absk > 0] ** (-eps)
+
+    def apply(mult, values):
+        return np.fft.ifftn(mult * np.fft.fftn(values)).real
+
+    def grad(values):
+        return [apply(1j * np.pi * ka, values) for ka in k]
+
+    def div(fields):
+        c = sum(1j * np.pi * ka * np.fft.fftn(f) for ka, f in zip(k, fields))
+        return np.fft.ifftn(c).real
+
+    return {
+        "grad": grad,
+        "div": div,
+        "pm": lambda alpha, w: div([alpha * g for g in grad(w)]),
+        "frac_1d": lambda w: apply(1j * np.pi * k[0] * smooth, w),
+        "frac_2d": lambda w: apply(
+            smooth, np.sqrt(sum(g**2 for g in grad(w)))
+        ),
+    }
+
+
+def _test_fields(grid, seed):
+    """A white-noise field and one with all its energy on Nyquist planes."""
+    rng = np.random.default_rng(seed)
+    nyq = np.pi * (grid.n // 2)
+    if grid.dim == 1:
+        x = grid.axis_nodes()
+        return rng.standard_normal(grid.shape), np.cos(nyq * x)
+    X, Y = grid.nodes()
+    on_nyquist = (
+        np.cos(nyq * X) * np.sin(3 * np.pi * Y)
+        + np.cos(2 * np.pi * X) * np.cos(nyq * Y)
+        + np.cos(nyq * X) * np.cos(nyq * Y)
+    )
+    return rng.standard_normal(grid.shape), on_nyquist
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_real_fft_operators_match_complex_fft(dim, n):
+    grid = PeriodicGrid(dim, n)
+    p = FracParams(0.3)
+    ref = _complex_fft_reference(grid, p.epsilon)
+    rng = np.random.default_rng(dim)
+    alpha = rng.uniform(0.05, 1.0, grid.shape)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    fields = _test_fields(grid, seed=n)
+    for values in fields:
+        f = ScalarField(grid, values)
+        for got, want in zip(sp.gradient(f), ref["grad"](values)):
+            close(got.values, want)
+        close(sp.pm_divergence_form(ScalarField(grid, alpha), f).values,
+              ref["pm"](alpha, values))
+        if dim == 1:
+            close(sp.frac_derivative_1d(f, p).values, ref["frac_1d"](values))
+        else:
+            close(sp.frac_gradient_2d(f, p).values, ref["frac_2d"](values))
+    vector = [np.roll(fields[a % 2], a, axis=0) for a in range(dim)]
+    close(sp.divergence([ScalarField(grid, v) for v in vector]).values,
+          ref["div"](vector))
 
 
 @pytest.mark.parametrize("k", [1, 5, 17])
