@@ -14,7 +14,7 @@ from .errors import (
     LinearAlgebraError,
 )
 from .grid import FracParams, PeriodicGrid, ScalarField, SpectralCoeffs
-from .geometry import JumpSet1D, WeightField, exponent_fit, weighted_norm
+from .geometry import JumpSet1D, exponent_fit
 from .curves import Circle, SplineCurve
 from .kernel import ClausenEvaluator
 from .evolution import SolverConfig, Trajectory, evolve
@@ -37,9 +37,7 @@ __all__ = [
     "SpectralCoeffs",
     "SplineCurve",
     "Trajectory",
-    "WeightField",
     "evolve",
     "exponent_fit",
-    "weighted_norm",
     "__version__",
 ]

@@ -9,7 +9,6 @@ Exit codes are part of the contract: 0 success, 1 verification failure,
 2 configuration/geometry, 3 excluded parameter, 4 blow-up, 5 linear
 algebra. All artifacts are written atomically; rerunning a command with
 the same config and seed reproduces the data files byte for byte.
-FRACPM_THREADS caps the verify worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from . import fieldio, oracles, verify
 from .errors import BlowUpError, ConfigError, FracpmError
 from .evolution import evolve, initial_perturbation, precompute_singular_field
 from .geometry import ensure_offgrid, exponent_fit, power_constant_fit, probe_distances
-from .grid import FracParams, ScalarField
+from .grid import ScalarField
 from .runconfig import RunConfig, load_config
 from .spectral import alpha_from_fracfield
 
@@ -69,15 +68,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
 
     d = probe_distances(*cfg.probe_window())
     pts, _ = _probe_points(cfg, geom, d)
-    if cfg.dimension == 1:
-        field_vals = np.abs(oracles.fracH_1d(geom, p, pts))
-    else:
-        from .curves import EwaldStepField2D
-
-        curve = getattr(geom, "curve", geom)
-        jump = abs(float(getattr(geom, "jump", 1.0)))
-        ev = EwaldStepField2D(curve, p)
-        field_vals = jump * np.abs(ev.evaluate(pts, want=("field",))["field"])
+    field_vals = np.abs(oracles.step_field(geom, p)(pts))
     alpha_vals = alpha_from_fracfield(field_vals)
 
     fits = []
@@ -204,7 +195,6 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
         norm = float(np.max(np.abs(A)))
         undeflated = np.sort(np.linalg.eigvalsh(0.5 * (A + A.T)))
         kernel_dim = int(np.sum(np.abs(undeflated) < 1e-10 * norm))
-        eig_rows = enumerate(eigs.tolist())
         mode = "dense"
     else:
         A = linearop.assemble_sparse(grid, alpha_faces)
@@ -213,8 +203,8 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
         _, bottom, _ = linearop.spectrum_deflated_iterative(A, ones, k=4)
         norm = float(np.max(np.abs(A).sum(axis=1)))
         kernel_dim = int(np.sum(np.abs(bottom) < 1e-10 * norm)) + 1
-        eig_rows = enumerate(eigs.tolist())
         mode = "iterative"
+    eig_rows = enumerate(eigs.tolist())
 
     report = {
         "mode": mode,
@@ -238,12 +228,7 @@ def cmd_verify(outdir: str, list_only: bool) -> int:
         for entry in verify.list_criteria():
             print(f"{entry['id']}  [{entry['command']}]  {entry['title']}")
         return 0
-    env = os.environ.get("FRACPM_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError:
-        raise ConfigError(f"FRACPM_THREADS must be an integer, got {env!r}")
-    summary = verify.run_all(max_workers=max(1, cap))
+    summary = verify.run_all()
     failed = []
     for res in summary["criteria"]:
         tag = "PASS" if res["passed"] else "FAIL"

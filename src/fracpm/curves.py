@@ -6,20 +6,19 @@ The field of interest is the fractionally smoothed boundary measure
     mu_hat(k) = (1/4) * integral_Gamma e^{-i pi k . y} dH^1(y),
 
 which is |grad H| of the indicator of the enclosed region pushed through
-the |k|^{-eps} smoothing multiplier. Two evaluation routes:
+the |k|^{-eps} smoothing multiplier. `EwaldStepField2D` evaluates it
+exactly by an Ewald split: writing |k|^{-eps} as an integral of
+e^{-t|k|^2} and applying the theta transform below the splitting parameter
+t0 turns the series into a short-range incomplete-gamma integral over the
+curve (quadrature) plus a rapidly converging reciprocal-lattice sum. It is
+accurate at ANY d > 0 and cheap, because neither part ever sees the
+singularity resolution limit.
 
-* method="lattice": the literal truncated lattice sum, cutoff K >= 8/d for
-  the smallest probe distance d, with an optional Gaussian tail window
-  that removes the hard-cutoff ripple. Cost O(K^2) per batch; usable for
-  moderate d and as the independent comparator.
-* method="resummed": the same sum evaluated exactly by an Ewald split.
-  Writing |k|^{-eps} as an integral of e^{-t|k|^2} and applying the theta
-  transform below the splitting parameter t0 turns the series into a
-  short-range incomplete-gamma integral over the curve (quadrature) plus a
-  rapidly converging reciprocal-lattice sum; accurate at ANY d > 0 and
-  cheap, because neither part ever sees the singularity resolution limit.
+`lattice_field_2d` is the independent oracle: the literal truncated lattice
+sum with a tail window, cutoff K >= 8/d for the smallest distance d. It
+costs O(K^2) per batch, so it serves moderate d and cross-checks only.
 
-Both routes share mu_hat; for circles mu_hat has the Bessel closed form
+Both share mu_hat; for circles mu_hat has the Bessel closed form
 (pi r / 2) J0(pi r |k|) e^{-i pi k . c}, pinned against the quadrature
 route in tests.
 """
@@ -355,33 +354,20 @@ class EwaldStepField2D:
         return out
 
 
-def frac_gradient_H_2d(
-    curve,
-    p: FracParams,
-    points,
-    method: str = "resummed",
-    cutoff: int | None = None,
-    window: bool = True,
-):
-    """The 2D fractionally smoothed boundary field at arbitrary points.
+def lattice_field_2d(curve, p: FracParams, points, cutoff: int):
+    """The truncated lattice sum of F at arbitrary points: the independent
+    comparator for the Ewald evaluator.
 
-    method="resummed" (default) is exact at any distance. method="lattice"
-    is the truncated direct sum; its cutoff defaults to ceil(8 / d_min) per
-    axis, and a quartic tail window exp(-18 (|k|/K)^4) suppresses the
-    hard-truncation ripple without biasing low modes unless window=False.
+    Keeps the modes with |k| <= K = cutoff; a quartic tail window
+    exp(-18 (|k|/K)^4) suppresses the hard-truncation ripple without
+    biasing low modes. Resolving distance d needs K of about 8/d.
     """
     pts = np.asarray(points, dtype=float)
-    if method == "resummed":
-        ev = EwaldStepField2D(curve, p)
-        return ev.evaluate(pts, want=("field",))["field"]
-    if method != "lattice":
-        raise ValueError(f"unknown method {method!r}")
     flat = np.atleast_2d(pts.reshape(-1, 2))
     d = curve.distance(flat[:, 0], flat[:, 1])
-    d_min = float(np.min(d))
-    if d_min <= 0:
+    if float(np.min(d)) <= 0:
         raise ConfigError("evaluation point lies on the curve")
-    K = int(cutoff if cutoff is not None else np.ceil(8.0 / d_min))
+    K = int(cutoff)
     eps = p.epsilon
     vals = np.zeros(flat.shape[0])
     k2full = np.arange(-K, K + 1, dtype=float)
@@ -393,11 +379,10 @@ def frac_gradient_H_2d(
         k2 = k2full[keep]
         a2 = absk2[keep]
         coeff = a2 ** (-eps / 2.0) * _mu_hat(curve, np.full(k2.shape, float(k1)), k2)
-        if window:
-            # quartic exponent: flat to O(k^4) at the origin, so the taper
-            # adds no second-order smoothing bias, yet still reaches e^-18
-            # at the cutoff circle
-            coeff = coeff * np.exp(-18.0 * (a2 / (K * K)) ** 2)
+        # quartic exponent: flat to O(k^4) at the origin, so the taper adds
+        # no second-order smoothing bias, yet still reaches e^-18 at the
+        # cutoff circle
+        coeff = coeff * np.exp(-18.0 * (a2 / (K * K)) ** 2)
         phase = np.exp(
             1j * np.pi * (flat[:, :1] * k1 + np.outer(flat[:, 1], k2))
         )

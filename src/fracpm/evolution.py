@@ -28,7 +28,7 @@ from scipy.sparse import eye as speye
 from scipy.sparse.linalg import splu
 
 from .errors import BlowUpError, ConfigError, LinearAlgebraError
-from .geometry import JumpSet1D, weight_profile
+from .geometry import weight_profile
 from .grid import FracParams, PeriodicGrid, ScalarField
 from . import linearop, spectral
 
@@ -127,16 +127,15 @@ def precompute_singular_field(
     d = curve.distance(X, Y)
     try:
         eps = p.epsilon
-        kf = np.fft.fftfreq(n_fine, d=1.0 / n_fine)
-        kx, ky = np.meshgrid(kf, kf, indexing="ij")
+        fine_grid = PeriodicGrid(2, n_fine)
+        kx, ky = fine_grid.wavenumbers()
         k2 = kx * kx + ky * ky
         kcut = n_fine // 2
         coeff = np.zeros_like(k2, dtype=complex)
         nz = k2 > 0
         coeff[nz] = k2[nz] ** (-eps / 2.0) * np.exp(-18.0 * (k2[nz] / kcut**2) ** 2)
         coeff *= curve.mu_hat_closed_form(kx, ky)
-        # nodes sit at x = -1 + j h: the box origin contributes (-1)^(k1+k2)
-        coeff *= 1.0 - 2.0 * (np.abs(kx + ky).astype(int) % 2)
+        coeff *= spectral._origin_phase(fine_grid)
         fine = np.fft.ifft2(coeff * n_fine**2).real
         idx = [(np.arange(grid.n) * stride + shift[a]) % n_fine for a in (0, 1)]
         values = fine[np.ix_(idx[0], idx[1])]
@@ -270,7 +269,7 @@ def evolve(
     u = H + w.values
     limit = 2.0 * max(1.0, float(np.max(np.abs(u)))) + 1e-12
     alpha = diffusion_coefficient(grid, p, S, w)
-    traj.record(0.0, w, u, _dirichlet_energy(w, alpha), take_snapshot=True)
+    traj.record(0.0, w, u, linearop.dirichlet_energy(w, alpha), take_snapshot=True)
     stepper = SemiImplicitStepper(grid, cfg) if cfg.scheme == "semi_implicit" else None
     w_prev = w
     for i in range(1, steps + 1):
@@ -296,20 +295,10 @@ def evolve(
             i * cfg.dt,
             w,
             u,
-            _dirichlet_energy(w, alpha),
+            linearop.dirichlet_energy(w, alpha),
             take_snapshot=(i % cfg.snapshot_stride == 0),
         )
     return traj
-
-
-def _dirichlet_energy(w: ScalarField, alpha: np.ndarray) -> float:
-    """The form value a(w, w) = integral of alpha |grad w|^2."""
-    if not np.any(w.values):
-        return 0.0
-    sq = np.zeros(w.grid.shape)
-    for part in spectral.gradient(w):
-        sq += part.values**2
-    return float(np.sum(alpha * sq) * w.grid.h**w.grid.dim)
 
 
 def initial_perturbation(

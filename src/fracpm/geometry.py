@@ -1,7 +1,7 @@
 """Jump geometry on the periodic box: 1D jump sets, distances, weights.
 
 The 2D curve machinery lives in `curves`; this module owns everything that
-is dimension-agnostic (weight profile, norms, exponent fits) plus the 1D
+is dimension-agnostic (weight profile, exponent fits) plus the 1D
 piecewise-constant step fields.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ExcludedParameterError
-from .grid import PeriodicGrid, ScalarField
+from .grid import PeriodicGrid
 
 
 def periodic_delta(x, a) -> np.ndarray:
@@ -146,56 +146,6 @@ def weight_profile(d, delta: float) -> np.ndarray:
     coeffs = _BLEND @ cond
     blend = np.polynomial.polynomial.polyval(s, coeffs)
     return np.where(d <= delta, d, np.where(d >= 2.0 * delta, 1.0, blend))
-
-
-@dataclass
-class WeightField:
-    """weight_profile(distance to the jump set) sampled on a grid."""
-
-    grid: PeriodicGrid
-    delta: float
-    values: np.ndarray
-    distances: np.ndarray
-
-    @classmethod
-    def build(cls, grid: PeriodicGrid, geom, delta: float) -> "WeightField":
-        if grid.dim == 1:
-            d = geom.distance(grid.nodes())
-        else:
-            d = geom.distance(*grid.nodes())
-        return cls(grid, delta, weight_profile(d, delta), d)
-
-
-def weighted_norm(
-    f: ScalarField,
-    weight: WeightField,
-    order: int = 0,
-    p: float = 2.0,
-    theta: float = 0.0,
-) -> float:
-    """|| w^theta D^order f ||_p over the box, trapezoid quadrature.
-
-    D^order collects all spectral partial derivatives of that total order
-    (in 2D all mixed partials, combined l2 pointwise). For theta <= -2 the
-    integrand is not quadrature-safe next to the jump set, so nodes closer
-    than one cell are excluded from the sum.
-    """
-    from . import spectral
-
-    g = f.grid
-    fields = [f]
-    for _ in range(order):
-        nxt = []
-        for fld in fields:
-            nxt.extend(spectral.gradient(fld))
-        fields = nxt
-    mag = np.sqrt(sum(fld.values**2 for fld in fields))
-    w = weight.values**theta
-    cell = g.h**g.dim
-    integrand = (w * mag) ** p
-    if theta <= -2.0:
-        integrand = np.where(weight.distances >= g.h, integrand, 0.0)
-    return float((np.sum(integrand) * cell) ** (1.0 / p))
 
 
 def probe_distances(d_min: float, d_max: float, count: int) -> np.ndarray:

@@ -100,12 +100,6 @@ class ScalarField:
             )
         self.values = v
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def l2(self) -> float:
         """Continuum-normalized L2 norm over the box of volume 2^dim."""
         cell = self.grid.h ** self.grid.dim

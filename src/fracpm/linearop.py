@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, LinearAlgebraError
 from .grid import FracParams, PeriodicGrid, ScalarField
-from .geometry import JumpSet1D
+from .spectral import alpha_from_fracfield, gradient
 
 
 def face_alpha(grid: PeriodicGrid, geom, p: FracParams):
@@ -28,7 +28,6 @@ def face_alpha(grid: PeriodicGrid, geom, p: FracParams):
     where ax_faces[i,j] is the face between nodes (i-1,j) and (i,j).
     """
     from .evolution import precompute_singular_field
-    from .spectral import alpha_from_fracfield
 
     if grid.dim == 1:
         s = precompute_singular_field(grid, geom, p, offsets=(-0.5,))
@@ -39,44 +38,14 @@ def face_alpha(grid: PeriodicGrid, geom, p: FracParams):
 
 
 def assemble(grid: PeriodicGrid, alpha_faces) -> np.ndarray:
-    """Dense matrix A with (A w)_i = -div(alpha grad w)_i, periodic FD."""
-    n = grid.n
-    inv_h2 = 1.0 / grid.h**2
-    if grid.dim == 1:
-        af = np.asarray(alpha_faces, dtype=float)
-        if af.shape != (n,):
-            raise ConfigError("1D face coefficient array must have length n")
-        A = np.zeros((n, n))
-        idx = np.arange(n)
-        right = af[(idx + 1) % n]
-        left = af
-        A[idx, idx] = (left + right) * inv_h2
-        A[idx, (idx + 1) % n] = -right * inv_h2
-        A[idx, (idx - 1) % n] = -left * inv_h2
-        return A
-    if n > 80:
+    """Dense view of assemble_sparse, for the full eigensolve."""
+    if grid.dim == 1 and np.shape(alpha_faces) != (grid.n,):
+        raise ConfigError("1D face coefficient array must have length n")
+    if grid.dim == 2 and grid.n > 80:
         raise ConfigError(
             "dense 2D assembly is limited to n <= 80 (matrix is n^2 x n^2)"
         )
-    ax, ay = (np.asarray(a, dtype=float) for a in alpha_faces)
-    N = n * n
-    A = np.zeros((N, N))
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    flat = (ii * n + jj).ravel()
-
-    def nb(di, dj):
-        return (((ii + di) % n) * n + (jj + dj) % n).ravel()
-
-    a_w = ax[ii, jj].ravel()  # face to node (i-1, j)
-    a_e = ax[(ii + 1) % n, jj].ravel()
-    a_s = ay[ii, jj].ravel()  # face to node (i, j-1)
-    a_n = ay[ii, (jj + 1) % n].ravel()
-    A[flat, flat] = (a_w + a_e + a_s + a_n) * inv_h2
-    A[flat, nb(-1, 0)] -= a_w * inv_h2
-    A[flat, nb(1, 0)] -= a_e * inv_h2
-    A[flat, nb(0, -1)] -= a_s * inv_h2
-    A[flat, nb(0, 1)] -= a_n * inv_h2
-    return A
+    return assemble_sparse(grid, alpha_faces).toarray()
 
 
 def component_indicators(grid: PeriodicGrid, geom) -> np.ndarray:
@@ -159,28 +128,27 @@ def near_null_overlap(A: np.ndarray, indicators: np.ndarray) -> float:
     return float(np.min(s))
 
 
-def form_value(u: ScalarField, v: ScalarField, alpha: ScalarField) -> float:
-    """Energy form: integral of alpha * (grad u . grad v) over the box.
+def dirichlet_energy(w: ScalarField, alpha: np.ndarray) -> float:
+    """The energy form a(w, w) = integral of alpha |grad w|^2 over the box.
 
     Gradients are spectral, the product is pointwise, and the integral is
     the trapezoid rule (a plain cell-volume sum on the periodic torus).
-    Cross-check: h^N * u^T A u agrees with form_value(u, u)
-    to O(h^2) when A is assembled from the same coefficient.
+    Cross-check: h^N * w^T A w agrees with it to O(h^2) when A is assembled
+    from the same coefficient.
     """
-    from .spectral import gradient
-
-    if u.grid != v.grid or u.grid != alpha.grid:
-        raise ConfigError("form_value requires fields on one common grid")
-    gu = gradient(u)
-    gv = gradient(v)
-    dot = np.zeros(u.grid.shape)
-    for a, b in zip(gu, gv):
-        dot += a.values * b.values
-    return float(np.sum(alpha.values * dot) * u.grid.h**u.grid.dim)
+    if not np.any(w.values):
+        return 0.0
+    sq = np.zeros(w.grid.shape)
+    for part in gradient(w):
+        sq += part.values**2
+    return float(np.sum(alpha * sq) * w.grid.h**w.grid.dim)
 
 
 def assemble_sparse(grid: PeriodicGrid, alpha_faces):
-    """CSR variant of assemble, for grids past the dense eigensolve cap."""
+    """CSR matrix A with (A w)_i = -div(alpha grad w)_i, periodic FD.
+
+    The one copy of the conservative stencil; `assemble` is its dense view.
+    """
     from scipy.sparse import coo_matrix
 
     n = grid.n

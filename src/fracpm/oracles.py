@@ -43,7 +43,7 @@ def fracH_1d_derivative(geom: JumpSet1D, p: FracParams, x, order: int = 1):
     return out
 
 
-def _step_field(geom, p: FracParams):
+def step_field(geom, p: FracParams):
     """x -> F(x), the exact step field of a 1D jump set or a 2D jump curve.
 
     In 2D the Ewald evaluator is built once and reused for every call; a
@@ -64,7 +64,7 @@ def alpha_H(geom, p: FracParams, x) -> np.ndarray:
 
     x is an array of points in 1D, or an array shaped (..., 2) in 2D.
     """
-    return alpha_from_fracfield(_step_field(geom, p)(np.asarray(x, dtype=float)))
+    return alpha_from_fracfield(step_field(geom, p)(np.asarray(x, dtype=float)))
 
 
 def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 64.0):
@@ -83,7 +83,7 @@ def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 6
     Returns (alpha, d_alpha, dd_alpha).
     """
     p = FracParams(p.epsilon, forbid_half=True)
-    field = _step_field(geom, p)
+    field = step_field(geom, p)
 
     def alpha_at(pts):
         return alpha_from_fracfield(field(pts))

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import kernel, oracles, spectral
-from .curves import Circle, EwaldStepField2D, frac_gradient_H_2d
+from .curves import Circle, EwaldStepField2D, lattice_field_2d
 from .evolution import (
     SolverConfig,
     decay_rate_fit,
@@ -61,17 +61,10 @@ TOLERANCES = {
 }
 
 
-def _offgrid_step(grid: PeriodicGrid) -> JumpSet1D:
+def _offgrid(geom, grid: PeriodicGrid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        geom, _ = ensure_offgrid(JumpSet1D.symmetric_step(), grid)
-    return geom
-
-
-def _offgrid_circle(grid: PeriodicGrid) -> Circle:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        geom, _ = ensure_offgrid(Circle((0.0, 0.0), 0.5), grid)
+        geom, _ = ensure_offgrid(geom, grid)
     return geom
 
 
@@ -181,7 +174,7 @@ def criterion_03():
     d_check = np.array([0.05, 0.1, 0.2])
     pts_check = circle.outward_point(d_check, angle=0.37)
     resummed = ev.evaluate(pts_check, want=("field",))["field"]
-    lattice = frac_gradient_H_2d(circle, p, pts_check, method="lattice", cutoff=cutoff)
+    lattice = lattice_field_2d(circle, p, pts_check, cutoff)
     route_diff = float(np.max(np.abs(resummed - lattice)))
     modes = float(np.pi * cutoff**2)
     route_ok = (
@@ -300,9 +293,12 @@ def criterion_06():
     t0 = time.perf_counter()
     cfg = SolverConfig(dt=1e-4, tolerance=1e-10, snapshot_stride=10_000)
     worst = {}
-    for dim, n in ((1, 512), (2, 128)):
+    for dim, n, start in (
+        (1, 512, JumpSet1D.symmetric_step()),
+        (2, 128, Circle((0.0, 0.0), 0.5)),
+    ):
         grid = PeriodicGrid(dim, n)
-        geom = _offgrid_step(grid) if dim == 1 else _offgrid_circle(grid)
+        geom = _offgrid(start, grid)
         p = FracParams(0.8)
         w0 = ScalarField(grid, np.zeros(grid.shape))
         traj = evolve(grid, geom, p, w0, cfg, n_steps=10_000)
@@ -318,7 +314,7 @@ def criterion_06():
 def criterion_07():
     """Sup-norm contraction and mean conservation over random runs."""
     grid = PeriodicGrid(1, 512)
-    geom = _offgrid_step(grid)
+    geom = _offgrid(JumpSet1D.symmetric_step(), grid)
     p = FracParams(0.8)
     S = precompute_singular_field(grid, geom, p)
     cfg = SolverConfig(dt=1e-4, tolerance=1e-10, snapshot_stride=1000)
@@ -354,7 +350,7 @@ def criterion_08():
         gammas = []
         for n in (256, 512, 1024):
             grid = PeriodicGrid(1, n)
-            geom = _offgrid_step(grid)
+            geom = _offgrid(JumpSet1D.symmetric_step(), grid)
             A = assemble(grid, face_alpha(grid, geom, p))
             gam, _, _ = spectrum_deflated(A, component_indicators(grid, geom))
             gammas.append(gam)
@@ -374,7 +370,7 @@ def criterion_08():
 def criterion_09():
     """Nonlinear decay rate agrees with the linearized deflated gap."""
     grid = PeriodicGrid(1, 512)
-    geom = _offgrid_step(grid)
+    geom = _offgrid(JumpSet1D.symmetric_step(), grid)
     p = FracParams(0.3)
     A = assemble(grid, face_alpha(grid, geom, p))
     V = component_indicators(grid, geom)
@@ -475,16 +471,9 @@ def run_criterion(cid: str):
     raise KeyError(f"unknown criterion {cid!r}")
 
 
-def run_all(max_workers: int | None = None):
-    """Run every criterion; returns the summary dict for the report file."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    ids = [cid for cid, _, _, _ in CRITERIA]
-    if max_workers is None or max_workers <= 1:
-        results = [run_criterion(cid) for cid in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_criterion, ids))
+def run_all():
+    """Run every criterion, one after another; returns the summary dict."""
+    results = [run_criterion(cid) for cid, _, _, _ in CRITERIA]
     return {
         "all_passed": bool(all(r["passed"] for r in results)),
         "criteria": results,

@@ -209,10 +209,3 @@ def test_verify_list(capsys):
         cmd = ln.split("[", 1)[1].split("]", 1)[0]
         assert cmd in ("fracfield", "evolve", "spectrum")
 
-
-def test_verify_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRACPM_THREADS", "many")
-    monkeypatch.chdir(tmp_path)
-    assert main(["verify", "--out", str(tmp_path / "o")]) == 2
-    assert "FRACPM_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "verify_summary.json").exists()

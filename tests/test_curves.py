@@ -6,7 +6,7 @@ from fracpm.curves import (
     EwaldStepField2D,
     JumpSet2D,
     SplineCurve,
-    frac_gradient_H_2d,
+    lattice_field_2d,
 )
 from fracpm.errors import ConfigError
 from fracpm.grid import FracParams
@@ -75,7 +75,7 @@ def test_ewald_matches_windowed_lattice_sum(circle, evaluator):
     # independent slow route: tail-windowed direct sum over the dual lattice
     pts = ring(circle, 0.2, 4)
     fast = evaluator.evaluate(pts)["field"]
-    slow = frac_gradient_H_2d(circle, FracParams(0.3), pts, method="lattice", cutoff=800)
+    slow = lattice_field_2d(circle, FracParams(0.3), pts, cutoff=800)
     assert np.max(np.abs(fast - slow)) < 1e-7
 
 

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from fracpm.errors import ConfigError
 from fracpm.geometry import (
     JumpSet1D,
-    WeightField,
     ensure_offgrid,
     exponent_fit,
     periodic_delta,
     power_constant_fit,
     probe_distances,
     weight_profile,
-    weighted_norm,
 )
-from fracpm.grid import PeriodicGrid, ScalarField
+from fracpm.grid import PeriodicGrid
 
 
 def test_weight_profile_plateau_and_identity():
@@ -159,36 +157,3 @@ def test_ensure_offgrid_shifts_by_quarter_cell():
     assert not shifted2
     assert again is moved
 
-
-def _weight_field(grid, geom, delta=0.1):
-    d = geom.distance(grid.axis_nodes())
-    return WeightField(grid, delta, weight_profile(d, delta), d)
-
-
-def test_weighted_norm_homogeneity_and_zero_order():
-    grid = PeriodicGrid(1, 256)
-    geom = JumpSet1D.symmetric_step(half_width=0.5 + grid.h / 4)
-    wf = _weight_field(grid, geom)
-    f = ScalarField(grid, np.sin(np.pi * grid.axis_nodes()))
-    n1 = weighted_norm(f, wf)
-    n3 = weighted_norm(ScalarField(grid, 3.0 * f.values), wf)
-    assert abs(n3 - 3.0 * n1) < 1e-12 * n1
-    assert n1 > 0.0
-
-
-def test_weighted_norm_gradient_order_kills_constants():
-    grid = PeriodicGrid(1, 128)
-    geom = JumpSet1D.symmetric_step(half_width=0.5 + grid.h / 4)
-    wf = _weight_field(grid, geom)
-    const = ScalarField(grid, np.full(128, 4.2))
-    assert weighted_norm(const, wf, order=1) < 1e-14
-    assert weighted_norm(const, wf, order=0) > 0.0
-
-
-def test_weighted_norm_theta_weighting_shrinks():
-    # weight <= 1 everywhere, so a positive theta power cannot increase it
-    grid = PeriodicGrid(1, 128)
-    geom = JumpSet1D.symmetric_step(half_width=0.5 + grid.h / 4)
-    wf = _weight_field(grid, geom)
-    f = ScalarField(grid, 1.0 + 0.3 * np.cos(np.pi * grid.axis_nodes()))
-    assert weighted_norm(f, wf, theta=2.0) <= weighted_norm(f, wf) + 1e-15

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import fracpm.linearop as lo
-from fracpm.errors import LinearAlgebraError
+from fracpm.errors import ConfigError, LinearAlgebraError
 from fracpm.evolution import precompute_singular_field
 from fracpm.geometry import JumpSet1D
 from fracpm.grid import FracParams, PeriodicGrid, ScalarField
 
-from conftest import band_limited, offgrid
+from conftest import offgrid
 
 P7 = FracParams(0.7)
 
@@ -139,19 +139,32 @@ def test_symmetry_guard():
         lo.spectrum_deflated(M, np.ones((8, 1)))
 
 
-def test_sparse_assembly_matches_dense(op_256):
-    grid, geom, A = op_256
-    faces = lo.face_alpha(grid, geom, P7)
-    assert np.max(np.abs(lo.assemble_sparse(grid, faces).toarray() - A)) == 0.0
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
+def test_stencil_energy_is_the_face_sum(dim, n):
+    """w'Aw equals sum_f a_f (w_i - w_nb)^2 / h^2, summed here without the
+    stencil code; A is symmetric and its rows sum to zero."""
+    grid = PeriodicGrid(dim, n)
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal(grid.shape)
+    # faces[axis][i] sits between node i and its neighbour one step back
+    faces = [rng.uniform(0.1, 2.0, grid.shape) for _ in range(dim)]
+    face_sum = sum(
+        np.sum(a * (w - np.roll(w, 1, axis=axis)) ** 2) for axis, a in enumerate(faces)
+    )
+    arg = faces[0] if dim == 1 else faces
+    for A in (lo.assemble(grid, arg), lo.assemble_sparse(grid, arg).toarray()):
+        energy = w.ravel() @ A @ w.ravel()
+        assert abs(energy - face_sum / grid.h**2) <= 1e-12 * energy
+        assert np.max(np.abs(A - A.T)) == 0.0
+        assert np.max(np.abs(A.sum(axis=1))) <= 1e-12 * np.max(np.abs(A))
 
 
-def test_sparse_assembly_matches_dense_2d(circle_64):
-    grid, geom = circle_64
-    small = PeriodicGrid(2, 16)
-    geom16 = offgrid(geom, small)
-    faces = lo.face_alpha(small, geom16, FracParams(0.3))
-    dense = lo.assemble(small, faces)
-    assert np.max(np.abs(lo.assemble_sparse(small, faces).toarray() - dense)) == 0.0
+def test_dense_assembly_guards():
+    with pytest.raises(ConfigError, match="length n"):
+        lo.assemble(PeriodicGrid(1, 64), np.ones(63))
+    big = PeriodicGrid(2, 82)
+    with pytest.raises(ConfigError, match="n <= 80"):
+        lo.assemble(big, [np.ones(big.shape), np.ones(big.shape)])
 
 
 def test_iterative_spectrum_matches_dense(op_512):
@@ -176,20 +189,16 @@ def test_constant_coefficient_spectrum_closed_form():
 
 def test_form_value_exact_on_eigenmode():
     grid = PeriodicGrid(1, 256)
-    ones = ScalarField(grid, np.ones(grid.n))
     s = ScalarField(grid, np.sin(np.pi * grid.axis_nodes()))
-    assert abs(lo.form_value(s, s, ones) - np.pi**2) < 1e-10
+    assert abs(lo.dirichlet_energy(s, np.ones(grid.n)) - np.pi**2) < 1e-10
 
 
-def test_form_value_symmetry_and_constants(op_256):
+def test_dirichlet_energy_vanishes_on_constants(op_256):
     grid, geom, _ = op_256
     S = precompute_singular_field(grid, geom, P7)
-    alpha = ScalarField(grid, 1.0 / (1.0 + S**2))
-    u = band_limited(grid, 16, seed=1)
-    v = band_limited(grid, 16, seed=2)
-    c = ScalarField(grid, np.full(grid.n, 2.3))
-    assert abs(lo.form_value(u, v, alpha) - lo.form_value(v, u, alpha)) < 1e-12
-    assert abs(lo.form_value(c, v, alpha)) < 1e-12
+    alpha = 1.0 / (1.0 + S**2)
+    assert lo.dirichlet_energy(ScalarField(grid, np.full(grid.n, 2.3)), alpha) < 1e-12
+    assert lo.dirichlet_energy(ScalarField(grid, np.zeros(grid.n)), alpha) == 0.0
 
 
 def test_form_value_consistent_with_matrix_quadratic_form():
@@ -207,9 +216,8 @@ def test_form_value_consistent_with_matrix_quadratic_form():
     for n in (256, 512):
         grid, geom, A = build(n)
         S = precompute_singular_field(grid, geom, P7)
-        alpha = ScalarField(grid, 1.0 / (1.0 + S**2))
         w = low_modes(grid)
-        fv = lo.form_value(w, w, alpha)
+        fv = lo.dirichlet_energy(w, 1.0 / (1.0 + S**2))
         gaps[n] = abs(fv - grid.h * (w.values @ (A @ w.values))) / fv
     assert gaps[256] < 5e-3
     assert 3.5 < gaps[256] / gaps[512] < 4.5
