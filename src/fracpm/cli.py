@@ -188,21 +188,13 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
     p = cfg.build_params()
     alpha_faces = linearop.face_alpha(grid, geom, p)
     indicators = linearop.component_indicators(grid, geom)
-    dense_cap = 4096 if grid.dim == 1 else 64
-    if grid.n <= dense_cap:
-        A = linearop.assemble(grid, alpha_faces)
-        gamma, eigs, r = linearop.spectrum_deflated(A, indicators)
-        norm = float(np.max(np.abs(A)))
-        undeflated = np.sort(np.linalg.eigvalsh(0.5 * (A + A.T)))
-        kernel_dim = int(np.sum(np.abs(undeflated) < 1e-10 * norm))
+    A = linearop.assemble_sparse(grid, alpha_faces)
+    if grid.n <= (4096 if grid.dim == 1 else 64):
+        dense = linearop.assemble(grid, alpha_faces)
+        gamma, eigs, r = linearop.spectrum_deflated(dense, indicators)
         mode = "dense"
     else:
-        A = linearop.assemble_sparse(grid, alpha_faces)
         gamma, eigs, r = linearop.spectrum_deflated_iterative(A, indicators)
-        ones = np.ones((A.shape[0], 1))
-        _, bottom, _ = linearop.spectrum_deflated_iterative(A, ones, k=4)
-        norm = float(np.max(np.abs(A).sum(axis=1)))
-        kernel_dim = int(np.sum(np.abs(bottom) < 1e-10 * norm)) + 1
         mode = "iterative"
     eig_rows = enumerate(eigs.tolist())
 
@@ -213,8 +205,8 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
         "poincare_constant": linearop.poincare_constant(gamma),
         "deflation_dim": int(r),
         "component_count": int(geom.component_count()),
-        "kernel_dim": kernel_dim,
-        "matrix_norm": norm,
+        "kernel_dim": linearop.kernel_dim(A, r),
+        "matrix_norm": linearop.matrix_norm(A),
     }
     fieldio.write_csv(
         os.path.join(outdir, "eigenvalues.csv"), ("index", "eigenvalue"), eig_rows

@@ -32,13 +32,15 @@ from .errors import ConfigError
 from .grid import FracParams
 
 _GAMMA_TAIL = 36.0  # e^-36 ~ 2e-16: where incomplete-gamma tails are dropped
+# the periodic images (mx, my) that distance and quadrature sums visit, in order
+_IMAGES = tuple((mx, my) for mx in (-2.0, 0.0, 2.0) for my in (-2.0, 0.0, 2.0))
 
 
 class Circle:
     """A circle, the default closed curve."""
 
     def __init__(self, center=(0.0, 0.0), radius=0.5):
-        if radius <= 0 or radius >= 1:
+        if not (0 < radius < 1):
             raise ConfigError("circle radius must lie in (0, 1)")
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
@@ -48,29 +50,16 @@ class Circle:
 
     def distance(self, x, y) -> np.ndarray:
         """Unsigned distance to the curve, periodic images included."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        best = None
-        for mx in (-2.0, 0.0, 2.0):
-            for my in (-2.0, 0.0, 2.0):
-                r = np.hypot(x - self.center[0] - mx, y - self.center[1] - my)
-                d = np.abs(r - self.radius)
-                best = d if best is None else np.minimum(best, d)
-        return best
+        return np.abs(self.signed_distance(x, y))
 
     def signed_distance(self, x, y) -> np.ndarray:
         """Negative inside the circle (nearest image)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         best = None
-        for mx in (-2.0, 0.0, 2.0):
-            for my in (-2.0, 0.0, 2.0):
-                r = np.hypot(x - self.center[0] - mx, y - self.center[1] - my)
-                s = r - self.radius
-                if best is None:
-                    best = s
-                else:
-                    best = np.where(np.abs(s) < np.abs(best), s, best)
+        for mx, my in _IMAGES:
+            s = np.hypot(x - self.center[0] - mx, y - self.center[1] - my) - self.radius
+            best = s if best is None else np.where(np.abs(s) < np.abs(best), s, best)
         return best
 
     def indicator(self, x, y) -> np.ndarray:
@@ -173,11 +162,10 @@ class SplineCurve:
         y = np.asarray(y, dtype=float)
         pts = np.stack([x, y], axis=-1)[..., None, :]
         best = None
-        for mx in (-2.0, 0.0, 2.0):
-            for my in (-2.0, 0.0, 2.0):
-                diff = pts - (self._samples + np.array([mx, my]))
-                d = np.min(np.linalg.norm(diff, axis=-1), axis=-1)
-                best = d if best is None else np.minimum(best, d)
+        for mx, my in _IMAGES:
+            diff = pts - (self._samples + np.array([mx, my]))
+            d = np.min(np.linalg.norm(diff, axis=-1), axis=-1)
+            best = d if best is None else np.minimum(best, d)
         return best
 
     def indicator(self, x, y) -> np.ndarray:
@@ -294,21 +282,20 @@ class EwaldStepField2D:
             acc_f = 0.0
             acc_g = np.zeros(2)
             acc_l = 0.0
-            for mx in (-2.0, 0.0, 2.0):
-                for my in (-2.0, 0.0, 2.0):
-                    z = x - ypts - (mx, my)
-                    rho = np.hypot(z[:, 0], z[:, 1])
-                    near = rho < self.rho_max
-                    if not np.any(near):
-                        continue
-                    rho_n = rho[near]
-                    w_n = w[near]
-                    psi, _ = self._psi_terms(rho_n, orders)
-                    acc_f += np.dot(w_n, psi[0])
-                    if 1 in psi:
-                        unit = z[near] / rho_n[:, None]
-                        acc_g += (w_n * psi[1]) @ unit
-                        acc_l += np.dot(w_n, psi[2] + psi[1] / rho_n)
+            for image in _IMAGES:
+                z = x - ypts - image
+                rho = np.hypot(z[:, 0], z[:, 1])
+                near = rho < self.rho_max
+                if not np.any(near):
+                    continue
+                rho_n = rho[near]
+                w_n = w[near]
+                psi, _ = self._psi_terms(rho_n, orders)
+                acc_f += np.dot(w_n, psi[0])
+                if 1 in psi:
+                    unit = z[near] / rho_n[:, None]
+                    acc_g += (w_n * psi[1]) @ unit
+                    acc_l += np.dot(w_n, psi[2] + psi[1] / rho_n)
             field[i] = pref * acc_f
             grad[i] = pref * acc_g
             lap[i] = pref * acc_l

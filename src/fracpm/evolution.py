@@ -43,8 +43,8 @@ class SolverConfig:
     snapshot_stride: int = 50
 
     def validate_static(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ConfigError("dt and t_final must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_final < np.inf):
+            raise ConfigError("dt and t_final must be finite and positive")
         if not (0.0 < self.tolerance <= 1e-6):
             raise ConfigError("linear-solve tolerance must lie in (0, 1e-6]")
         if self.max_linear_iter < 1 or self.snapshot_stride < 1:

@@ -98,8 +98,7 @@ def spectrum_deflated(A: np.ndarray, indicators: np.ndarray):
     from scipy.linalg import eigh
 
     defect = float(np.max(np.abs(A - A.T)))
-    scale = float(np.max(np.abs(A)))
-    if defect > 1e-10 * max(scale, 1.0):
+    if defect > 1e-10 * max(matrix_norm(A), 1.0):
         raise LinearAlgebraError(f"matrix symmetry defect {defect:.2e}")
     Q = _orthonormal_deflation_basis(indicators)
     r = Q.shape[1]
@@ -110,6 +109,20 @@ def spectrum_deflated(A: np.ndarray, indicators: np.ndarray):
     eigs = eigh(M, eigvals_only=True)
     gamma = float(eigs[r])
     return gamma, eigs, r
+
+
+def matrix_norm(A) -> float:
+    """max |A_ij| of a dense or sparse A: the scale of the symmetry and kernel tests."""
+    return float(abs(A).max())
+
+
+def kernel_dim(A_sparse, r: int) -> int:
+    """dim ker A: deflate the constants, then add one per eigenvalue below
+    1e-10 max|A_ij| among the bottom min(r + 1, N - 1); r = indicator count."""
+    ones = np.ones((A_sparse.shape[0], 1))
+    k = min(r + 1, A_sparse.shape[0] - 1)
+    _, bottom, _ = spectrum_deflated_iterative(A_sparse, ones, k=k)
+    return int(np.sum(np.abs(bottom) < 1e-10 * matrix_norm(A_sparse))) + 1
 
 
 def near_null_overlap(A: np.ndarray, indicators: np.ndarray) -> float:
@@ -187,7 +200,8 @@ def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
     far up the spectrum with a rank-r penalty c*QQ^T rather than projected
     out, which keeps the operator cheap to apply; the shifted inverse
     (M + I)^{-1} is a sparse LU of A + I plus a Woodbury correction for
-    the penalty. Returns (gamma, bottom_eigenvalues, deflation_dim).
+    the penalty. ARPACK starts from a seeded vector, so reruns agree bit
+    for bit. Returns (gamma, bottom_eigenvalues, deflation_dim).
     """
     from scipy.sparse import eye as speye
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
@@ -212,6 +226,7 @@ def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
     try:
         vals = eigsh(
             m_op, k=k, sigma=-1.0, which="LM", OPinv=inv_op,
+            v0=np.random.default_rng(0).standard_normal(n),
             return_eigenvectors=False,
         )
     except Exception as exc:  # ArpackNoConvergence and friends

@@ -115,6 +115,10 @@ class RunConfig:
             raise ConfigError("geometry.jumps and geometry.values lengths differ")
         if not self.delta > 0:
             raise ConfigError("geometry.delta must be positive")
+        if not np.isfinite(self.perturbation_amplitude):
+            raise ConfigError("perturbation.amplitude must be finite")
+        if len(self.center) != 2 or not np.all(np.isfinite(self.center)):
+            raise ConfigError("geometry.center needs two finite numbers")
         if not (0 < self.probes_d_min < self.probes_d_max):
             raise ConfigError("probe window must satisfy 0 < d_min < d_max")
         self.solver.validate_static()

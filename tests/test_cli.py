@@ -137,6 +137,53 @@ def test_spectrum_report(tmp_path):
     assert np.all(np.diff(eigs) >= -1e-12)
 
 
+def test_spectrum_on_the_smallest_grid(tmp_path):
+    cfg = write_cfg(tmp_path, BASE_1D.replace("grid.n = 256", "grid.n = 4"))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "spectrum_report.json").read_text())
+    assert report["kernel_dim"] == 1
+
+
+def test_iterative_spectrum_reruns_identically(tmp_path):
+    cfg = write_cfg(tmp_path, BASE_1D.replace("grid.n = 256", "grid.n = 8192"))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("spectrum_report.json", "eigenvalues.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    report = json.loads((outs[0] / "spectrum_report.json").read_text())
+    assert report["mode"] == "iterative"
+    assert report["kernel_dim"] == 1
+    rows = (outs[0] / "eigenvalues.csv").read_text().strip().splitlines()
+    assert len(rows) == 10 + 1
+
+
+BASE_2D = (
+    "dimension = 2\n"
+    "epsilon = 0.7\n"
+    "grid.n = 16\n"
+    "geometry.curve = circle\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("evolve", BASE_1D + "solver.dt = nan\n", "dt"),
+        ("evolve", BASE_1D + "solver.t_final = inf\n", "t_final"),
+        ("evolve", BASE_1D + "perturbation.amplitude = nan\n", "amplitude"),
+        ("fracfield", BASE_2D + "geometry.center = 0\n", "center"),
+        ("fracfield", BASE_2D + "geometry.radius = nan\n", "radius"),
+    ],
+    ids=("dt", "t_final", "amplitude", "center", "radius"),
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, text, named):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_1D + "grid.spacing = 0.1\n")
     assert main(["fracfield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

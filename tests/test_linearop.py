@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fracpm.linearop as lo
+from fracpm.curves import Circle
 from fracpm.errors import ConfigError, LinearAlgebraError
 from fracpm.evolution import precompute_singular_field
 from fracpm.geometry import JumpSet1D
@@ -177,6 +178,36 @@ def test_iterative_spectrum_matches_dense(op_512):
     assert abs(gamma_it - gamma_dense) < 1e-8 * gamma_dense
     # shift-invert converges from the bottom; only the head is tight
     assert np.max(np.abs(eigs_it[:3] - eigs_dense[r : r + 3])) < 1e-6
+
+
+def dense_kernel_dim(A):
+    """Oracle: count the near-zero eigenvalues of the whole dense matrix."""
+    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+    return int(np.sum(np.abs(eigs) < 1e-10 * np.max(np.abs(A))))
+
+
+def test_kernel_dim_matches_dense_count(op_512):
+    grid, geom, A = op_512
+    A_sparse = lo.assemble_sparse(grid, lo.face_alpha(grid, geom, P7))
+    assert lo.kernel_dim(A_sparse, 2) == dense_kernel_dim(A) == 1
+    assert lo.matrix_norm(A_sparse) == lo.matrix_norm(A) == np.max(np.abs(A))
+
+
+def test_kernel_dim_matches_dense_count_2d():
+    grid = PeriodicGrid(2, 16)
+    geom = offgrid(Circle((0.0, 0.0), 0.49), grid)
+    A_sparse = lo.assemble_sparse(grid, lo.face_alpha(grid, geom, P7))
+    assert lo.kernel_dim(A_sparse, 2) == dense_kernel_dim(A_sparse.toarray()) == 1
+
+
+def test_kernel_dim_counts_a_cut_ring():
+    """Two zero faces cut the periodic 1D chain into two pieces, each with
+    its own constant null vector."""
+    grid = PeriodicGrid(1, 512)
+    faces = np.random.default_rng(3).uniform(0.1, 1.0, grid.n)
+    faces[[100, 300]] = 0.0
+    A_sparse = lo.assemble_sparse(grid, faces)
+    assert lo.kernel_dim(A_sparse, 2) == dense_kernel_dim(A_sparse.toarray()) == 2
 
 
 def test_constant_coefficient_spectrum_closed_form():
