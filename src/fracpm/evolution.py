@@ -97,11 +97,11 @@ def precompute_singular_field(
 ) -> np.ndarray:
     """The oracle fractional gradient of H at (possibly face-shifted) nodes.
 
-    1D uses the kernel series directly. 2D goes through a hybrid: nodes
-    far from the curve come from one windowed FFT synthesis of the lattice
-    coefficients on a 2048^2 fine grid (abs error ~1e-6, cheap), nodes in
-    the near tube from the exact resummed evaluator. offsets are per-axis
-    node shifts in units of h; the assembler uses -1/2 for face grids.
+    1D uses the kernel series directly. 2D is a hybrid: nodes far from the
+    curve take the windowed lattice sum over |k_a| <= 1024 (abs error ~1e-6)
+    folded onto the run grid, nodes in the near tube the exact resummed
+    evaluator. offsets are per-axis node shifts in units of h; the
+    assembler uses -1/2 for face grids.
     """
     from .oracles import fracH_1d
 
@@ -111,14 +111,6 @@ def precompute_singular_field(
 
     from .curves import EwaldStepField2D
 
-    n_fine = 2048
-    if n_fine % grid.n != 0:
-        raise ConfigError("2D grids must divide 2048 for the far-field synthesis")
-    stride = n_fine // grid.n
-    shift = [int(round(offsets[a] * stride)) for a in (0, 1)]
-    if any(abs(offsets[a] * stride - shift[a]) > 1e-9 for a in (0, 1)):
-        raise ConfigError("grid offsets must land on the 2048 fine lattice")
-
     curve = getattr(geom, "curve", geom)
     jump = abs(float(getattr(geom, "jump", 1.0)))
     X, Y = grid.nodes()
@@ -126,19 +118,7 @@ def precompute_singular_field(
     Y = Y + offsets[1] * grid.h
     d = curve.distance(X, Y)
     try:
-        eps = p.epsilon
-        fine_grid = PeriodicGrid(2, n_fine)
-        kx, ky = fine_grid.wavenumbers()
-        k2 = kx * kx + ky * ky
-        kcut = n_fine // 2
-        coeff = np.zeros_like(k2, dtype=complex)
-        nz = k2 > 0
-        coeff[nz] = k2[nz] ** (-eps / 2.0) * np.exp(-18.0 * (k2[nz] / kcut**2) ** 2)
-        coeff *= curve.mu_hat_closed_form(kx, ky)
-        coeff *= spectral._origin_phase(fine_grid)
-        fine = np.fft.ifft2(coeff * n_fine**2).real
-        idx = [(np.arange(grid.n) * stride + shift[a]) % n_fine for a in (0, 1)]
-        values = fine[np.ix_(idx[0], idx[1])]
+        values = _folded_far_field(grid, curve, p.epsilon, offsets)
         near = d < 0.06
     except NotImplementedError:
         # curves without closed-form coefficients: exact route everywhere
@@ -152,6 +132,33 @@ def precompute_singular_field(
     if jump != 1.0:
         values = values * jump
     return values
+
+
+_FAR_KMAX = 1024  # lattice k_a in [-1024, 1024), window exp(-18 (|k|/1024)^4)
+_FOLD_ROWS = 64  # lattice rows per block of the fold
+
+
+def _folded_far_field(grid: PeriodicGrid, curve, eps: float, offsets) -> np.ndarray:
+    """n is even, so a node value depends on k only modulo n: coefficients
+    times the node phase e^{i pi k x_0}, built in row blocks, are summed onto
+    k mod n for one n x n inverse FFT. Memory is O(n^2), any even n works."""
+    n = grid.n
+    k = np.fft.fftfreq(2 * _FAR_KMAX, d=1.0 / (2 * _FAR_KMAX))
+    sign = 1.0 - 2.0 * (np.abs(k) % 2)  # (-1)^k: nodes start at x = -1
+    phase = [sign * np.exp(1j * np.pi * grid.h * o * k) for o in offsets]
+    fold = k.astype(int) % n
+    folded = np.zeros(n * n, dtype=complex)
+    for start in range(0, k.size, _FOLD_ROWS):
+        rows = slice(start, start + _FOLD_ROWS)
+        kx = k[rows, None]
+        k2 = kx * kx + k * k
+        k2[k2 == 0] = np.inf  # the k = 0 mode carries no weight
+        coeff = k2 ** (-eps / 2.0) * np.exp(-18.0 * (k2 / _FAR_KMAX**2) ** 2)
+        coeff = coeff * curve.mu_hat_closed_form(kx, k) * phase[0][rows, None] * phase[1]
+        idx = (fold[rows, None] * n + fold).ravel()
+        folded += np.bincount(idx, coeff.real.ravel(), n * n)
+        folded += 1j * np.bincount(idx, coeff.imag.ravel(), n * n)
+    return np.fft.ifft2(folded.reshape(n, n), norm="forward").real
 
 
 def fractional_total_field(grid, p, S, w: ScalarField):

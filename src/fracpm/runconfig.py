@@ -35,9 +35,12 @@ def _as_int(key, raw):
 
 def _as_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_bool(key, raw):
@@ -50,10 +53,7 @@ def _as_bool(key, raw):
 
 
 def _as_floats(key, raw):
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}")
+    return tuple(_as_float(key, tok) for tok in raw.split(",") if tok.strip())
 
 
 def _as_points(key, raw):
@@ -115,10 +115,8 @@ class RunConfig:
             raise ConfigError("geometry.jumps and geometry.values lengths differ")
         if not self.delta > 0:
             raise ConfigError("geometry.delta must be positive")
-        if not np.isfinite(self.perturbation_amplitude):
-            raise ConfigError("perturbation.amplitude must be finite")
-        if len(self.center) != 2 or not np.all(np.isfinite(self.center)):
-            raise ConfigError("geometry.center needs two finite numbers")
+        if len(self.center) != 2:
+            raise ConfigError("geometry.center needs two numbers")
         if not (0 < self.probes_d_min < self.probes_d_max):
             raise ConfigError("probe window must satisfy 0 < d_min < d_max")
         self.solver.validate_static()

@@ -48,12 +48,6 @@ def dft_forward(f: ScalarField) -> SpectralCoeffs:
     return SpectralCoeffs(f.grid, phase * np.fft.fftn(f.values) / norm)
 
 
-def dft_inverse(c: SpectralCoeffs) -> ScalarField:
-    norm = c.grid.n ** c.grid.dim
-    phase = _origin_phase(c.grid)
-    return ScalarField(c.grid, np.fft.ifftn(phase * c.values * norm).real)
-
-
 class SpectralOps:
     """Real-FFT transforms and multipliers of one grid (rfftn layout),
     cached per (grid, epsilon) by `spectral_ops` and shared: all read-only.

@@ -175,8 +175,11 @@ BASE_2D = (
         ("evolve", BASE_1D + "perturbation.amplitude = nan\n", "amplitude"),
         ("fracfield", BASE_2D + "geometry.center = 0\n", "center"),
         ("fracfield", BASE_2D + "geometry.radius = nan\n", "radius"),
+        ("fracfield", BASE_1D + "geometry.values = inf, 0.0\n", "geometry.values"),
+        ("fracfield", BASE_2D + "probes.angle = nan\n", "probes.angle"),
+        ("fracfield", BASE_2D + "probes.d_max = inf\n", "probes.d_max"),
     ],
-    ids=("dt", "t_final", "amplitude", "center", "radius"),
+    ids=("dt", "t_final", "amplitude", "center", "radius", "values", "angle", "d_max"),
 )
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, text, named):
     cfg = write_cfg(tmp_path, text)

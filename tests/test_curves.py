@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fracpm
 from fracpm.curves import (
     Circle,
     EwaldStepField2D,
@@ -9,7 +14,10 @@ from fracpm.curves import (
     lattice_field_2d,
 )
 from fracpm.errors import ConfigError
-from fracpm.grid import FracParams
+from fracpm.evolution import precompute_singular_field
+from fracpm.grid import FracParams, PeriodicGrid
+
+from conftest import offgrid
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +113,45 @@ def test_singular_field_has_lattice_symmetry(circle_64, singular_field_2d):
     assert np.max(np.abs(S - S.T)) < 1e-11
     assert np.max(np.abs(S - S[idx, :])) < 1e-11
     assert np.max(np.abs(S - S[:, idx])) < 1e-11
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 0.0), (-0.5, 0.0)], ids=("nodes", "x-faces"))
+def test_singular_field_on_any_even_grid(offsets):
+    """48 does not divide the far-field lattice: the folded far field must
+    still match the exact evaluator at nodes and at face offsets."""
+    grid = PeriodicGrid(2, 48)
+    curve = offgrid(Circle((0.0, 0.0), 0.5), grid)
+    p = FracParams(0.3)
+    S = precompute_singular_field(grid, curve, p, offsets=offsets)
+    X, Y = grid.nodes()
+    X, Y = X + offsets[0] * grid.h, Y + offsets[1] * grid.h
+    far = np.flatnonzero(curve.distance(X, Y) >= 0.06)[::37]
+    pts = np.stack([X.ravel()[far], Y.ravel()[far]], axis=-1)
+    exact = EwaldStepField2D(curve, p).evaluate(pts)["field"]
+    assert far.size > 40
+    assert np.max(np.abs(S.ravel()[far] - exact)) < 1e-6
+
+
+def test_singular_field_memory_is_bounded():
+    """One 64^2 call in a fresh process stays well under the ~440 MB that
+    a full 2048^2 synthesis of the far field would take. The child reports
+    VmHWM, not ru_maxrss: Linux carries the parent's peak into ru_maxrss
+    across exec, and this test process can be larger than the bound."""
+    code = (
+        "from fracpm.curves import Circle\n"
+        "from fracpm.evolution import precompute_singular_field\n"
+        "from fracpm.grid import FracParams, PeriodicGrid\n"
+        "grid, curve = PeriodicGrid(2, 64), Circle((0.0, 0.0), 0.49)\n"
+        "precompute_singular_field(grid, curve, FracParams(0.3))\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(fracpm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    peak_mb = int(out.stdout.split()[1]) / 1024.0  # VmHWM is in kB
+    assert peak_mb < 250.0
 
 
 def test_field_is_not_rotation_invariant(evaluator):
