@@ -10,18 +10,28 @@ the |k|^{-eps} smoothing multiplier. `EwaldStepField2D` evaluates it
 exactly by an Ewald split: writing |k|^{-eps} as an integral of
 e^{-t|k|^2} and applying the theta transform below the splitting parameter
 t0 turns the series into a short-range incomplete-gamma integral over the
-curve (quadrature) plus a rapidly converging reciprocal-lattice sum. The
-quadrature takes m = 48 r / d samples, capped at 2^21, so it is accurate
-down to d = 48 r / 2^21 (1.1e-5 at r = 0.5); below that it reads low (0.8%
-at d = 1e-6, eps = 0.3) until graded panels lift the cap (ROADMAP item 1).
+curve plus a rapidly converging reciprocal-lattice sum.
+
+The short-range integral is near-singular at distance d from the curve and
+takes one admissible-panel rule (after Helsing & Ojala, J. Comput. Phys.
+227:2899, 2008). Every curve exposes point(t) -> (xy, speed) on a parameter
+of period 1 and `breaks`, the edges of its smooth pieces. For each point
+and periodic image, a panel starts as one piece, is bisected while the
+point is closer to its midpoint than the panel's arclength, and is dropped
+once it lies beyond the kernel's reach; the survivors take 16-point
+Gauss-Legendre. The work grows like log(1/d) and the result is accurate
+to round-off at any d > 0. A panel still splitting after 40 bisections
+means the point is on the curve (closer than about 1e-12), which raises
+ConfigError. The reciprocal sum is separable: Re sum (E_x C) * E_y with
+E_a = e^{i pi x_a k} over one axis of 87 wavenumbers.
 
 `lattice_field_2d` is the independent oracle: the literal truncated lattice
 sum with a tail window, cutoff K >= 8/d for the smallest distance d. It
 costs O(K^2) per batch, so it serves moderate d and cross-checks only.
 
 Both share mu_hat; for circles mu_hat has the Bessel closed form
-(pi r / 2) J0(pi r |k|) e^{-i pi k . c}, pinned against the quadrature
-route in tests.
+(pi r / 2) J0(pi r |k|) e^{-i pi k . c}, pinned against the trapezoid
+`quadrature` in tests; other curves take that trapezoid sum.
 """
 
 from __future__ import annotations
@@ -35,10 +45,22 @@ from .grid import FracParams
 _GAMMA_TAIL = 36.0  # e^-36 ~ 2e-16: where incomplete-gamma tails are dropped
 # the periodic images (mx, my) that distance and quadrature sums visit, in order
 _IMAGES = tuple((mx, my) for mx in (-2.0, 0.0, 2.0) for my in (-2.0, 0.0, 2.0))
+_GL_ORDER = 16  # Gauss-Legendre nodes per admissible panel
+_MAX_LEVELS = 40  # bisections before a point counts as lying on the curve
+_PAIRS = 2**14  # (point image, curve piece) pairs per evaluation block
+
+
+def quadrature(curve, m: int):
+    """m curve points at equispaced parameters and their trapezoid
+    arclength weights (spectrally accurate on smooth closed curves)."""
+    xy, speed = curve.point(np.arange(m) / m)
+    return xy, speed / m
 
 
 class Circle:
     """A circle, the default closed curve."""
+
+    breaks = (0.0, 0.25, 0.5, 0.75)  # quarter arcs keep the lattice symmetry
 
     def __init__(self, center=(0.0, 0.0), radius=0.5):
         if not (0 < radius < 1):
@@ -48,6 +70,12 @@ class Circle:
 
     def length(self) -> float:
         return 2.0 * np.pi * self.radius
+
+    def point(self, t):
+        """Curve points and speed |d xy / dt| at parameters t (period 1)."""
+        theta = 2.0 * np.pi * np.asarray(t, dtype=float)
+        xy = self.center + self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return xy, np.full(theta.shape, self.length())
 
     def distance(self, x, y) -> np.ndarray:
         """Unsigned distance to the curve, periodic images included."""
@@ -65,15 +93,6 @@ class Circle:
 
     def indicator(self, x, y) -> np.ndarray:
         return np.where(self.signed_distance(x, y) < 0, 1.0, 0.0)
-
-    def quadrature(self, m: int):
-        """m curve points and arclength weights (uniform angle, spectral)."""
-        theta = 2.0 * np.pi * np.arange(m) / m
-        pts = self.center + self.radius * np.stack(
-            [np.cos(theta), np.sin(theta)], axis=-1
-        )
-        w = np.full(m, self.length() / m)
-        return pts, w
 
     def mu_hat_closed_form(self, kx, ky) -> np.ndarray:
         absk = np.hypot(kx, ky)
@@ -140,23 +159,18 @@ class SplineCurve:
         closed = np.vstack([pts, pts[:1]])
         t = np.linspace(0.0, 1.0, closed.shape[0])
         self._spline = CubicSpline(t, closed, bc_type="periodic")
+        self.breaks = self._spline.x[:-1]  # the knots: no panel straddles one
         self.center = pts.mean(axis=0)
         # dense sampling reused by distance queries
         self._tt = np.linspace(0.0, 1.0, 4096, endpoint=False)
         self._samples = self._spline(self._tt)
 
     def length(self) -> float:
-        dp = self._spline(self._tt, 1)
-        return float(np.mean(np.hypot(dp[:, 0], dp[:, 1])))
+        return float(np.sum(quadrature(self, 4096)[1]))
 
-    def quadrature(self, m: int):
-        t = np.linspace(0.0, 1.0, m, endpoint=False)
-        pts = self._spline(t)
-        speed = np.hypot(*self._spline(t, 1).T)
-        return pts, speed / m
-
-    def mu_hat_closed_form(self, kx, ky):
-        raise NotImplementedError("spline curves use the quadrature route")
+    def point(self, t):
+        """Curve points and speed |d xy / dt| at parameters t in [0, 1]."""
+        return self._spline(t), np.linalg.norm(self._spline(t, 1), axis=-1)
 
     def distance(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -183,6 +197,18 @@ class SplineCurve:
         inside = np.sum(crosses & (xint > xx), axis=-1) % 2
         return inside.astype(float)
 
+    def outward_point(self, d, angle=0.0):
+        """Points at distance d along the outward unit normal, at the sample
+        nearest in angle to the ray from the centroid along `angle`."""
+        rel = self._samples - self.center
+        gap = np.angle(np.exp(1j * (np.arctan2(rel[:, 1], rel[:, 0]) - angle)))
+        i = int(np.argmin(np.abs(gap)))
+        tx, ty = self._spline(self._tt[i], 1)
+        # the tangent turned clockwise points outward on a counterclockwise curve
+        area = np.sum(rel[:, 0] * np.roll(rel[:, 1], -1) - np.roll(rel[:, 0], -1) * rel[:, 1])
+        normal = np.sign(area) * np.array([ty, -tx]) / np.hypot(tx, ty)
+        return self._samples[i] + np.asarray(d, dtype=float)[..., None] * normal
+
     def shifted(self, dx: float, dy: float) -> "SplineCurve":
         t = np.linspace(0.0, 1.0, 64, endpoint=False)
         return SplineCurve(self._spline(t) + np.array([dx, dy]))
@@ -191,17 +217,16 @@ class SplineCurve:
         return 2
 
 
-def _mu_hat(curve, kx, ky, quad_m: int = 4096):
-    try:
-        return curve.mu_hat_closed_form(kx, ky)
-    except NotImplementedError:
-        pts, w = curve.quadrature(quad_m)
-        phase = np.exp(
-            -1j
-            * np.pi
-            * (np.multiply.outer(kx, pts[:, 0]) + np.multiply.outer(ky, pts[:, 1]))
-        )
-        return phase @ w
+def _mu_hat(curve, kx, ky):
+    """mu_hat on the tensor grid kx x ky: the Bessel closed form for a
+    circle, the 4096-point trapezoid sum over the box of measure 4 otherwise."""
+    kx = np.asarray(kx, dtype=float)
+    ky = np.asarray(ky, dtype=float)
+    if isinstance(curve, Circle):
+        return curve.mu_hat_closed_form(kx[:, None], ky[None, :])
+    y, w = quadrature(curve, 4096)
+    ex = np.exp(-1j * np.pi * np.outer(kx, y[:, 0])) * (w / 4.0)
+    return ex @ np.exp(-1j * np.pi * np.outer(y[:, 1], ky))
 
 
 class EwaldStepField2D:
@@ -211,134 +236,147 @@ class EwaldStepField2D:
         self.curve = curve
         self.p = p
         self.t0 = float(t0)
-        self._quads = {}
         eps = p.epsilon
         self.a_short = 1.0 - eps / 2.0
         self.gamma_a_short = np.exp(gammaln(self.a_short))
         self.gamma_half_eps = np.exp(gammaln(eps / 2.0))
-        # reciprocal sum: keep modes with t0 |k|^2 <= tail threshold
+        # reciprocal sum: the (k_x, k_y) matrix over one axis k, zero outside
+        # 0 < t0 |k|^2 <= tail threshold
         kmax = int(np.ceil(np.sqrt(_GAMMA_TAIL / self.t0)))
-        k = np.arange(-kmax, kmax + 1)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        k2 = (kx**2 + ky**2).astype(float)
+        self.k = np.arange(-kmax, kmax + 1, dtype=float)
+        k2 = np.add.outer(self.k**2, self.k**2)
         keep = (k2 > 0) & (self.t0 * k2 <= _GAMMA_TAIL)
-        self.kx = kx[keep].astype(float)
-        self.ky = ky[keep].astype(float)
-        k2 = k2[keep]
-        self.long_coeff = (
+        k2 = np.where(keep, k2, 1.0)
+        self.long_coeff = np.where(
+            keep,
             k2 ** (-eps / 2.0)
             * gammaincc(eps / 2.0, self.t0 * k2)
-            * _mu_hat(curve, self.kx, self.ky)
+            * _mu_hat(curve, self.k, self.k),
+            0.0,
         )
-        self.mode_count = int(self.kx.size)
         # constant subtracted so that the k = 0 term is absent
         self.k0_term = (
             curve.length() / 4.0 * self.t0 ** (eps / 2.0)
             / np.exp(gammaln(eps / 2.0 + 1.0))
         )
         self.rho_max = 4.0 * np.sqrt(self.t0)  # beyond this Psi underflows
+        # admissible panels start from the curve's smooth pieces
+        self._gl = np.polynomial.legendre.leggauss(_GL_ORDER)
+        a = np.asarray(curve.breaks, dtype=float)
+        self._pieces = self._panels(a, np.append(a[1:], a[0] + 1.0))
 
     # -- short-range kernel and its radial derivatives ---------------------
 
-    def _psi_terms(self, rho, orders):
+    def _psi_terms(self, rho, derivs):
         eps = self.p.epsilon
         q = 0.5 * np.pi * rho
         u0 = q * q / self.t0
         gu = self.gamma_a_short * gammaincc(self.a_short, u0)
-        ee = np.where(u0 < 700.0, u0 ** (self.a_short - 1.0) * np.exp(-u0), 0.0)
-        out = {}
-        if 0 in orders:
-            out[0] = q ** (eps - 2.0) * gu
-        if 1 in orders:
-            out[1] = 0.5 * np.pi * (
+        out = [q ** (eps - 2.0) * gu]
+        if derivs:
+            ee = np.where(u0 < 700.0, u0 ** (self.a_short - 1.0) * np.exp(-u0), 0.0)
+            out.append(0.5 * np.pi * (
                 (eps - 2.0) * q ** (eps - 3.0) * gu
                 - (2.0 / self.t0) * q ** (eps - 1.0) * ee
-            )
-        if 2 in orders:
-            out[2] = (0.5 * np.pi) ** 2 * (
+            ))
+            out.append((0.5 * np.pi) ** 2 * (
                 (eps - 2.0) * (eps - 3.0) * q ** (eps - 4.0) * gu
                 - (2.0 / self.t0) * q ** (eps - 2.0) * ee * (eps - 3.0 - 2.0 * u0)
-            )
-        return out, q
+            ))
+        return out
 
-    def _quad_m(self, d: float) -> int:
-        # ~7.6 quadrature points per peak width d; rounded up to powers of
-        # two so probe batches share cached curve samplings
-        scale = getattr(self.curve, "radius", 0.5)
-        m = min(max(4096, 48.0 * scale / d), 2**21)
-        return int(2 ** np.ceil(np.log2(m)))
+    def _panels(self, a, b):
+        """Parameter panels [a, b]: Gauss-Legendre nodes, arclength weights,
+        midpoints and arclengths."""
+        x, w = self._gl
+        half = 0.5 * (b - a)[:, None]
+        mid = 0.5 * (a + b)
+        nodes, speed = self.curve.point(mid[:, None] + half * x)
+        weights = half * w * speed
+        centre, _ = self.curve.point(mid)
+        return a, b, nodes, weights, centre, weights.sum(axis=1)
 
-    def _short_parts(self, points, dists, want):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        pref = np.pi / (4.0 * self.gamma_half_eps)
-        field = np.zeros(pts.shape[0])
-        grad = np.zeros_like(pts)
-        lap = np.zeros(pts.shape[0])
-        orders = {0} | ({1, 2} if ("grad" in want or "lap" in want) else set())
-        for i, x in enumerate(pts):
-            m = self._quad_m(dists[i])
-            if m not in self._quads:
-                self._quads[m] = self.curve.quadrature(m)
-            ypts, w = self._quads[m]
-            acc_f = 0.0
-            acc_g = np.zeros(2)
-            acc_l = 0.0
-            for image in _IMAGES:
-                z = x - ypts - image
-                rho = np.hypot(z[:, 0], z[:, 1])
-                near = rho < self.rho_max
-                if not np.any(near):
-                    continue
-                rho_n = rho[near]
-                w_n = w[near]
-                psi, _ = self._psi_terms(rho_n, orders)
-                acc_f += np.dot(w_n, psi[0])
-                if 1 in psi:
-                    unit = z[near] / rho_n[:, None]
-                    acc_g += (w_n * psi[1]) @ unit
-                    acc_l += np.dot(w_n, psi[2] + psi[1] / rho_n)
-            field[i] = pref * acc_f
-            grad[i] = pref * acc_g
-            lap[i] = pref * acc_l
-        return field, grad, lap
+    def _short_parts(self, pts, derivs):
+        """Short-range integral by the admissible-panel rule; rows are the
+        field and, with derivs, grad x, grad y and the Laplacian."""
+        targets = (pts[:, None, :] - np.array(_IMAGES)).reshape(-1, 2)
+        npieces = self._pieces[0].size
+        tgt = np.repeat(np.arange(targets.shape[0]), npieces)
+        idx = np.tile(np.arange(npieces), targets.shape[0])  # rows of `panels`
+        panels = self._pieces
+        acc = np.zeros((4 if derivs else 1, pts.shape[0]))
+        for _ in range(_MAX_LEVELS):
+            a, b, nodes, weights, centre, length = panels
+            # drop panels beyond the kernel's reach, bisect those the point
+            # is closer to than their arclength, integrate the rest
+            dist = np.hypot(*(targets[tgt] - centre[idx]).T)
+            keep = dist - length[idx] < self.rho_max
+            split = keep & (dist < length[idx])
+            done = keep & ~split
+            z = targets[tgt[done], None, :] - nodes[idx[done]]
+            rho = np.hypot(z[..., 0], z[..., 1])
+            psi = self._psi_terms(rho, derivs)
+            w = weights[idx[done]]
+            rows = [psi[0]]
+            if derivs:
+                radial = psi[1] / rho
+                rows += [radial * z[..., 0], radial * z[..., 1], psi[2] + radial]
+            owner = tgt[done] // len(_IMAGES)
+            for row, vals in zip(acc, rows):
+                row += np.bincount(owner, np.sum(w * vals, axis=1), pts.shape[0])
+            if not np.any(split):
+                return np.pi / (4.0 * self.gamma_half_eps) * acc
+            tgt, idx = np.concatenate([tgt[split], tgt[split]]), idx[split]
+            mid = 0.5 * (a[idx] + b[idx])
+            panels = self._panels(np.concatenate([a[idx], mid]), np.concatenate([mid, b[idx]]))
+            idx = np.arange(tgt.size)
+        raise ConfigError("evaluation point lies on the curve")
 
-    def _long_parts(self, points, want):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phase = np.exp(
-            1j * np.pi * (np.outer(pts[:, 0], self.kx) + np.outer(pts[:, 1], self.ky))
-        )
-        weighted = phase * self.long_coeff
-        field = weighted.sum(axis=1).real
-        grad = np.zeros_like(pts)
-        lap = np.zeros(pts.shape[0])
-        if "grad" in want or "lap" in want:
-            grad[:, 0] = (weighted * (1j * np.pi * self.kx)).sum(axis=1).real
-            grad[:, 1] = (weighted * (1j * np.pi * self.ky)).sum(axis=1).real
-            k2 = self.kx**2 + self.ky**2
-            lap = (weighted * (-np.pi**2 * k2)).sum(axis=1).real
-        return field, grad, lap
+    def _long_parts(self, pts, derivs):
+        """Reciprocal-lattice sum Re sum C e^{i pi k.x}, same rows as the
+        short part, through the separable phases E_x and E_y."""
+        ik = 1j * np.pi * self.k
+        ex = np.exp(np.outer(pts[:, 0], ik))
+        ey = np.exp(np.outer(pts[:, 1], ik))
+        exc = ex @ self.long_coeff
+        rows = [np.sum(exc * ey, axis=1)]
+        if derivs:
+            dxc = (ex * ik) @ self.long_coeff
+            dxxc = (ex * ik**2) @ self.long_coeff
+            rows += [
+                np.sum(dxc * ey, axis=1),
+                np.sum(exc * (ey * ik), axis=1),
+                np.sum(dxxc * ey + exc * (ey * ik**2), axis=1),
+            ]
+        return np.array(rows).real
 
     def evaluate(self, points, want=("field",)):
         """Evaluate at points of shape (..., 2).
 
         Returns a dict with keys among 'field', 'grad', 'lap'. Points must
-        keep a positive distance from the curve.
+        keep a positive distance from the curve; one closer than about 1e-12
+        counts as on it. Either raises ConfigError.
         """
         pts = np.asarray(points, dtype=float)
         flat = np.atleast_2d(pts.reshape(-1, 2))
-        d = self.curve.distance(flat[:, 0], flat[:, 1])
-        if float(np.min(d)) <= 0:
-            raise ConfigError("evaluation point lies on the curve")
-        sf, sg, sl = self._short_parts(flat, d, want)
-        lf, lg, ll = self._long_parts(flat, want)
+        derivs = "grad" in want or "lap" in want
+        parts = np.empty((4 if derivs else 1, flat.shape[0]))
+        step = max(1, _PAIRS // (len(_IMAGES) * self._pieces[0].size))
+        for start in range(0, flat.shape[0], step):
+            block = flat[start:start + step]
+            if float(np.min(self.curve.distance(block[:, 0], block[:, 1]))) <= 0:
+                raise ConfigError("evaluation point lies on the curve")
+            parts[:, start:start + step] = (
+                self._short_parts(block, derivs) + self._long_parts(block, derivs)
+            )
         out = {}
         lead = pts.shape[:-1]
         if "field" in want:
-            out["field"] = (sf + lf - self.k0_term).reshape(lead)
+            out["field"] = (parts[0] - self.k0_term).reshape(lead)
         if "grad" in want:
-            out["grad"] = (sg + lg).reshape(pts.shape)
+            out["grad"] = parts[1:3].T.reshape(pts.shape)
         if "lap" in want:
-            out["lap"] = (sl + ll).reshape(lead)
+            out["lap"] = parts[3].reshape(lead)
         return out
 
 
@@ -366,7 +404,7 @@ def lattice_field_2d(curve, p: FracParams, points, cutoff: int):
             continue
         k2 = k2full[keep]
         a2 = absk2[keep]
-        coeff = a2 ** (-eps / 2.0) * _mu_hat(curve, np.full(k2.shape, float(k1)), k2)
+        coeff = a2 ** (-eps / 2.0) * _mu_hat(curve, [k1], k2)[0]
         # quartic exponent: flat to O(k^4) at the origin, so the taper adds
         # no second-order smoothing bias, yet still reaches e^-18 at the
         # cutoff circle

@@ -1,8 +1,8 @@
 """Time evolution of the regular part w in the H + w splitting.
 
 The step field H never enters a transform: its fractional gradient S comes
-from the oracles once (exact near the jump set), and each step only
-transforms the smooth part w. The evolved equation is
+from the exact oracle `oracles.step_field` once, at every node, and each
+step only transforms the smooth part w. The evolved equation is
 
     w_t = div(alpha * grad w),   alpha = 1 / (1 + (S + Fw)^2),
 
@@ -30,6 +30,7 @@ from scipy.sparse.linalg import splu
 from .errors import BlowUpError, ConfigError, LinearAlgebraError
 from .geometry import weight_profile
 from .grid import FracParams, PeriodicGrid, ScalarField
+from .oracles import step_field
 from . import linearop, spectral
 
 
@@ -95,70 +96,18 @@ def step_field_on_grid(grid: PeriodicGrid, geom, p: FracParams, offset=0.0):
 def precompute_singular_field(
     grid: PeriodicGrid, geom, p: FracParams, offsets=(0.0, 0.0)
 ) -> np.ndarray:
-    """The oracle fractional gradient of H at (possibly face-shifted) nodes.
+    """The exact fractional gradient of H at (possibly face-shifted) nodes.
 
-    1D uses the kernel series directly. 2D is a hybrid: nodes far from the
-    curve take the windowed lattice sum over |k_a| <= 1024 (abs error ~1e-6)
-    folded onto the run grid, nodes in the near tube the exact resummed
-    evaluator. offsets are per-axis node shifts in units of h; the
-    assembler uses -1/2 for face grids.
+    One route in 1D and 2D: `oracles.step_field` (the kernel series in 1D,
+    `EwaldStepField2D` in 2D, accurate at any positive distance from the
+    jump set) evaluated at every node. offsets are per-axis node shifts in
+    units of h; the assembler uses -1/2 for face grids.
     """
-    from .oracles import fracH_1d
-
+    nodes = grid.nodes()
     if grid.dim == 1:
-        off = offsets[0] if np.ndim(offsets) else float(offsets)
-        return fracH_1d(geom, p, grid.axis_nodes() + off * grid.h)
-
-    from .curves import EwaldStepField2D
-
-    curve = getattr(geom, "curve", geom)
-    jump = abs(float(getattr(geom, "jump", 1.0)))
-    X, Y = grid.nodes()
-    X = X + offsets[0] * grid.h
-    Y = Y + offsets[1] * grid.h
-    d = curve.distance(X, Y)
-    try:
-        values = _folded_far_field(grid, curve, p.epsilon, offsets)
-        near = d < 0.06
-    except NotImplementedError:
-        # curves without closed-form coefficients: exact route everywhere
-        values = np.empty(grid.shape)
-        near = np.ones(grid.shape, dtype=bool)
-
-    if np.any(near):
-        ev = EwaldStepField2D(curve, p)
-        pts = np.stack([X[near], Y[near]], axis=-1)
-        values[near] = ev.evaluate(pts, want=("field",))["field"]
-    if jump != 1.0:
-        values = values * jump
-    return values
-
-
-_FAR_KMAX = 1024  # lattice k_a in [-1024, 1024), window exp(-18 (|k|/1024)^4)
-_FOLD_ROWS = 64  # lattice rows per block of the fold
-
-
-def _folded_far_field(grid: PeriodicGrid, curve, eps: float, offsets) -> np.ndarray:
-    """n is even, so a node value depends on k only modulo n: coefficients
-    times the node phase e^{i pi k x_0}, built in row blocks, are summed onto
-    k mod n for one n x n inverse FFT. Memory is O(n^2), any even n works."""
-    n = grid.n
-    k = np.fft.fftfreq(2 * _FAR_KMAX, d=1.0 / (2 * _FAR_KMAX))
-    sign = 1.0 - 2.0 * (np.abs(k) % 2)  # (-1)^k: nodes start at x = -1
-    phase = [sign * np.exp(1j * np.pi * grid.h * o * k) for o in offsets]
-    fold = k.astype(int) % n
-    folded = np.zeros(n * n, dtype=complex)
-    for start in range(0, k.size, _FOLD_ROWS):
-        rows = slice(start, start + _FOLD_ROWS)
-        kx = k[rows, None]
-        k2 = kx * kx + k * k
-        k2[k2 == 0] = np.inf  # the k = 0 mode carries no weight
-        coeff = k2 ** (-eps / 2.0) * np.exp(-18.0 * (k2 / _FAR_KMAX**2) ** 2)
-        coeff = coeff * curve.mu_hat_closed_form(kx, k) * phase[0][rows, None] * phase[1]
-        idx = (fold[rows, None] * n + fold).ravel()
-        folded += np.bincount(idx, coeff.real.ravel(), n * n)
-        folded += 1j * np.bincount(idx, coeff.imag.ravel(), n * n)
-    return np.fft.ifft2(folded.reshape(n, n), norm="forward").real
+        return step_field(geom, p)(nodes + offsets[0] * grid.h)
+    pts = np.stack([ax + o * grid.h for ax, o in zip(nodes, offsets)], axis=-1)
+    return step_field(geom, p)(pts)
 
 
 def fractional_total_field(grid, p, S, w: ScalarField):

@@ -6,6 +6,8 @@ the artifacts a user would actually look at.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +167,41 @@ BASE_2D = (
     "grid.n = 16\n"
     "geometry.curve = circle\n"
 )
+
+
+SPLINE_2D = (
+    "dimension = 2\n"
+    "epsilon = 0.3\n"
+    "grid.n = 16\n"
+    "geometry.curve = spline\n"
+    "geometry.points = 0.52, 0.03; 0.31, 0.41; -0.12, 0.55; -0.47, 0.22; "
+    "-0.43, -0.27; -0.05, -0.49; 0.36, -0.33\n"
+    "probes.sign_check = true\n"
+    "solver.dt = 1e-3\n"
+    "solver.t_final = 0.01\n"
+)
+
+
+def test_spline_fracfield_and_evolve_in_bounded_memory(tmp_path):
+    """An off-lattice 7-point spline runs both curve commands in one fresh
+    process; the child reports VmHWM (see the singular-field memory test)."""
+    cfg = write_cfg(tmp_path, SPLINE_2D)
+    code = (
+        "import sys\n"
+        "from fracpm.cli import main\n"
+        "for cmd in ('fracfield', 'evolve'):\n"
+        f"    assert main([cmd, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(fracpm.evolution.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.split()[1]) / 1024.0 < 250.0  # VmHWM is in kB
+    report = json.loads((tmp_path / "o" / "fracfield_report.json").read_text())
+    assert report["sign_check"]["all_correct"] is True
 
 
 @pytest.mark.parametrize(
