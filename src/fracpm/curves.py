@@ -25,6 +25,13 @@ means the point is on the curve (closer than about 1e-12), which raises
 ConfigError. The reciprocal sum is separable: Re sum (E_x C) * E_y with
 E_a = e^{i pi x_a k} over one axis of 87 wavenumbers.
 
+Curve geometry is exact. A circle's signed distance has its closed form; a
+spline's is the distance to the foot point, bracketed by the nearest of 4096
+samples (a kd-tree on the torus finds it across the periodic images),
+refined by Newton steps on the parameter and signed by the side of its
+normal. A spline shifts exactly by translating its knots. Evaluation's one
+on-curve test is the bisection cap above.
+
 `lattice_field_2d` is the independent oracle: the literal truncated lattice
 sum with a tail window, cutoff K >= 8/d for the smallest distance d. It
 costs O(K^2) per batch, so it serves moderate d and cross-checks only.
@@ -48,6 +55,7 @@ _IMAGES = tuple((mx, my) for mx in (-2.0, 0.0, 2.0) for my in (-2.0, 0.0, 2.0))
 _GL_ORDER = 16  # Gauss-Legendre nodes per admissible panel
 _MAX_LEVELS = 40  # bisections before a point counts as lying on the curve
 _PAIRS = 2**14  # (point image, curve piece) pairs per evaluation block
+_NEWTON_STEPS = 4  # from the nearest spline sample to the foot point
 
 
 def quadrature(curve, m: int):
@@ -57,7 +65,21 @@ def quadrature(curve, m: int):
     return xy, speed / m
 
 
-class Circle:
+class _ClosedCurve:
+    """Distance and inside test from the signed distance (nearest image)."""
+
+    def distance(self, x, y) -> np.ndarray:
+        """Unsigned distance to the curve, periodic images included."""
+        return np.abs(self.signed_distance(x, y))
+
+    def indicator(self, x, y) -> np.ndarray:
+        return np.where(self.signed_distance(x, y) < 0, 1.0, 0.0)
+
+    def component_count(self) -> int:
+        return 2  # inside and outside
+
+
+class Circle(_ClosedCurve):
     """A circle, the default closed curve."""
 
     breaks = (0.0, 0.25, 0.5, 0.75)  # quarter arcs keep the lattice symmetry
@@ -77,10 +99,6 @@ class Circle:
         xy = self.center + self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         return xy, np.full(theta.shape, self.length())
 
-    def distance(self, x, y) -> np.ndarray:
-        """Unsigned distance to the curve, periodic images included."""
-        return np.abs(self.signed_distance(x, y))
-
     def signed_distance(self, x, y) -> np.ndarray:
         """Negative inside the circle (nearest image)."""
         x = np.asarray(x, dtype=float)
@@ -90,9 +108,6 @@ class Circle:
             s = np.hypot(x - self.center[0] - mx, y - self.center[1] - my) - self.radius
             best = s if best is None else np.where(np.abs(s) < np.abs(best), s, best)
         return best
-
-    def indicator(self, x, y) -> np.ndarray:
-        return np.where(self.signed_distance(x, y) < 0, 1.0, 0.0)
 
     def mu_hat_closed_form(self, kx, ky) -> np.ndarray:
         absk = np.hypot(kx, ky)
@@ -107,9 +122,6 @@ class Circle:
         d = np.asarray(d, dtype=float)
         n = np.stack([np.cos(angle) * np.ones_like(d), np.sin(angle) * np.ones_like(d)], axis=-1)
         return self.center + (self.radius + d)[..., None] * n
-
-    def component_count(self) -> int:
-        return 2  # inside and outside
 
 
 class JumpSet2D:
@@ -147,11 +159,12 @@ class JumpSet2D:
         return self.curve.component_count()
 
 
-class SplineCurve:
+class SplineCurve(_ClosedCurve):
     """Closed cubic-spline curve through given points (periodic parameter)."""
 
     def __init__(self, points):
         from scipy.interpolate import CubicSpline
+        from scipy.spatial import cKDTree
 
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -161,9 +174,13 @@ class SplineCurve:
         self._spline = CubicSpline(t, closed, bc_type="periodic")
         self.breaks = self._spline.x[:-1]  # the knots: no panel straddles one
         self.center = pts.mean(axis=0)
-        # dense sampling reused by distance queries
+        # foot-point brackets; the tree's box [0, 2)^2 is the periodic box + (1, 1)
         self._tt = np.linspace(0.0, 1.0, 4096, endpoint=False)
         self._samples = self._spline(self._tt)
+        self._tree = cKDTree(np.mod(self._samples + 1.0, 2.0), boxsize=2.0)
+        # +1 on counterclockwise knots: there the tangent turned clockwise points out
+        x, y = self._samples.T
+        self._sense = np.sign(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def length(self) -> float:
         return float(np.sum(quadrature(self, 4096)[1]))
@@ -172,30 +189,24 @@ class SplineCurve:
         """Curve points and speed |d xy / dt| at parameters t in [0, 1]."""
         return self._spline(t), np.linalg.norm(self._spline(t, 1), axis=-1)
 
-    def distance(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        pts = np.stack([x, y], axis=-1)[..., None, :]
-        best = None
-        for mx, my in _IMAGES:
-            diff = pts - (self._samples + np.array([mx, my]))
-            d = np.min(np.linalg.norm(diff, axis=-1), axis=-1)
-            best = d if best is None else np.minimum(best, d)
-        return best
-
-    def indicator(self, x, y) -> np.ndarray:
-        # winding-number test against the dense polygon (central image)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        px, py = self._samples[:, 0], self._samples[:, 1]
-        nx, ny = np.roll(px, -1), np.roll(py, -1)
-        xx = x[..., None]
-        yy = y[..., None]
-        crosses = ((py <= yy) & (ny > yy)) | ((py > yy) & (ny <= yy))
-        t = (yy - py) / np.where(ny == py, np.inf, ny - py)
-        xint = px + t * (nx - px)
-        inside = np.sum(crosses & (xint > xx), axis=-1) % 2
-        return inside.astype(float)
+    def signed_distance(self, x, y) -> np.ndarray:
+        """Distance to the foot point on the nearest image, negative on the
+        inner side of its normal."""
+        q = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), y), axis=-1)
+        _, i = self._tree.query(q + 1.0)
+        q = q - 2.0 * np.round((q - self._samples[i]) / 2.0)  # the image nearest the sample
+        t = self._tt[i]
+        for _ in range(_NEWTON_STEPS):
+            # Newton on f(t) = (C(t) - q) . C'(t), the slope of |C(t) - q|^2 / 2
+            gap = self._spline(t) - q
+            tangent = self._spline(t, 1)
+            f = np.sum(gap * tangent, axis=-1)
+            df = np.sum(tangent * tangent + gap * self._spline(t, 2), axis=-1)
+            t = t - np.clip(f / df, -self._tt[1], self._tt[1])
+        gap = q - self._spline(t)
+        tx, ty = np.moveaxis(self._spline(t, 1), -1, 0)
+        side = self._sense * (gap[..., 0] * ty - gap[..., 1] * tx)
+        return np.copysign(np.hypot(gap[..., 0], gap[..., 1]), side)
 
     def outward_point(self, d, angle=0.0):
         """Points at distance d along the outward unit normal, at the sample
@@ -204,17 +215,12 @@ class SplineCurve:
         gap = np.angle(np.exp(1j * (np.arctan2(rel[:, 1], rel[:, 0]) - angle)))
         i = int(np.argmin(np.abs(gap)))
         tx, ty = self._spline(self._tt[i], 1)
-        # the tangent turned clockwise points outward on a counterclockwise curve
-        area = np.sum(rel[:, 0] * np.roll(rel[:, 1], -1) - np.roll(rel[:, 0], -1) * rel[:, 1])
-        normal = np.sign(area) * np.array([ty, -tx]) / np.hypot(tx, ty)
+        normal = self._sense * np.array([ty, -tx]) / np.hypot(tx, ty)
         return self._samples[i] + np.asarray(d, dtype=float)[..., None] * normal
 
     def shifted(self, dx: float, dy: float) -> "SplineCurve":
-        t = np.linspace(0.0, 1.0, 64, endpoint=False)
-        return SplineCurve(self._spline(t) + np.array([dx, dy]))
-
-    def component_count(self) -> int:
-        return 2
+        # c[-1] holds the knots; interpolation is linear in them, so this is exact
+        return SplineCurve(self._spline.c[-1] + np.array([dx, dy]))
 
 
 def _mu_hat(curve, kx, ky):
@@ -353,9 +359,9 @@ class EwaldStepField2D:
     def evaluate(self, points, want=("field",)):
         """Evaluate at points of shape (..., 2).
 
-        Returns a dict with keys among 'field', 'grad', 'lap'. Points must
-        keep a positive distance from the curve; one closer than about 1e-12
-        counts as on it. Either raises ConfigError.
+        Returns a dict with keys among 'field', 'grad', 'lap'. A point
+        closer than about 1e-12 to the curve counts as on it: its panels are
+        still splitting at the bisection cap, which raises ConfigError.
         """
         pts = np.asarray(points, dtype=float)
         flat = np.atleast_2d(pts.reshape(-1, 2))
@@ -364,8 +370,6 @@ class EwaldStepField2D:
         step = max(1, _PAIRS // (len(_IMAGES) * self._pieces[0].size))
         for start in range(0, flat.shape[0], step):
             block = flat[start:start + step]
-            if float(np.min(self.curve.distance(block[:, 0], block[:, 1]))) <= 0:
-                raise ConfigError("evaluation point lies on the curve")
             parts[:, start:start + step] = (
                 self._short_parts(block, derivs) + self._long_parts(block, derivs)
             )
@@ -390,8 +394,7 @@ def lattice_field_2d(curve, p: FracParams, points, cutoff: int):
     """
     pts = np.asarray(points, dtype=float)
     flat = np.atleast_2d(pts.reshape(-1, 2))
-    d = curve.distance(flat[:, 0], flat[:, 1])
-    if float(np.min(d)) <= 0:
+    if float(np.min(curve.distance(flat[:, 0], flat[:, 1]))) <= 0:
         raise ConfigError("evaluation point lies on the curve")
     K = int(cutoff)
     eps = p.epsilon

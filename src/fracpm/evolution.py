@@ -84,13 +84,11 @@ class Trajectory:
             self.snapshots.append((float(t), w.values.copy()))
 
 
-def step_field_on_grid(grid: PeriodicGrid, geom, p: FracParams, offset=0.0):
-    """H sampled at nodes (optionally shifted by offset*h along each axis)."""
+def step_field_on_grid(grid: PeriodicGrid, geom):
+    """H sampled at the nodes."""
     if grid.dim == 1:
-        x = grid.axis_nodes() + offset * grid.h
-        return geom.indicator(x)
-    X, Y = grid.nodes()
-    return geom.indicator(X + offset * grid.h, Y + offset * grid.h)
+        return geom.indicator(grid.axis_nodes())
+    return geom.indicator(*grid.nodes())
 
 
 def precompute_singular_field(
@@ -218,7 +216,7 @@ def evolve(
     S = singular_field
     if S is None:
         S = precompute_singular_field(grid, geom, p)
-    H = step_field_on_grid(grid, geom, p)
+    H = step_field_on_grid(grid, geom)
     steps = n_steps if n_steps is not None else int(round(cfg.t_final / cfg.dt))
     w = ScalarField(grid, w0.values.copy())
     traj = Trajectory()

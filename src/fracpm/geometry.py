@@ -79,9 +79,10 @@ class JumpSet1D:
 def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
     """Shift a geometry off the node/face lattice if it collides.
 
-    Nodes and face midpoints together tile the h/2 lattice, so the default
-    symmetric step at +-1/2 collides on every power-of-two grid; a quarter-
-    cell translation lands on the h/4 sub-lattice, which can never collide.
+    1D: nodes and faces tile the h/2 lattice (the default step at +-1/2
+    collides on every power-of-two grid); a quarter-cell shift lands on the
+    h/4 sub-lattice, which can never collide. 2D: a curve within tol of a
+    node, x-face or y-face midpoint is translated by (h/4, h/4).
     Returns (possibly shifted geometry, shifted: bool) and warns on shift.
     """
     half = grid.h / 2.0
@@ -97,10 +98,9 @@ def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
             )
             return shifted, True
         return geom, False
-    # 2D curves know their own collision test.
-    d_nodes = geom.distance(*grid.nodes())
-    faces_x = grid.nodes()[0] + half
-    if np.min(d_nodes) < tol or np.min(geom.distance(faces_x, grid.nodes()[1])) < tol:
+    X, Y = grid.nodes()
+    lattices = ((X, Y), (X + half, Y), (X, Y + half))
+    if any(np.min(geom.distance(x, y)) < tol for x, y in lattices):
         shifted = geom.shifted(grid.h / 4.0, grid.h / 4.0)
         warnings.warn(
             "curve touches the node/face lattice; translating by (h/4, h/4)",

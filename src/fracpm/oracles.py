@@ -98,8 +98,7 @@ def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 6
         dd_alpha = (a_plus - 2.0 * a_mid + a_minus) / (h * h)
         return a_mid, d_alpha, dd_alpha
 
-    curve = getattr(geom, "curve", geom)
-    h = fd_fraction * curve.distance(x[..., 0], x[..., 1])
+    h = fd_fraction * geom.distance(x[..., 0], x[..., 1])
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     hh = h[..., None]

@@ -6,14 +6,30 @@ quarter-cell shift fires on nearly every construction and would drown
 real warnings in the test output.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fracpm
 from fracpm.curves import Circle
 from fracpm.geometry import JumpSet1D, ensure_offgrid
 from fracpm.grid import FracParams, PeriodicGrid
+
+
+def child_peak_mb(code: str) -> float:
+    """Run code in a fresh interpreter on this checkout's fracpm and return
+    the child's peak resident memory in MB. The child reports VmHWM, not
+    ru_maxrss: Linux carries the parent's peak into ru_maxrss across exec,
+    and the test process can be larger than the bound."""
+    code += "\nprint(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracpm.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout.split()[-2]) / 1024.0  # last line "VmHWM: <kB> kB"
 
 
 def offgrid(geom, grid):

@@ -5,14 +5,12 @@ the artifacts a user would actually look at.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import fracpm.evolution
+from conftest import child_peak_mb
 from fracpm import fieldio
 from fracpm.cli import main
 
@@ -172,7 +170,6 @@ BASE_2D = (
 SPLINE_2D = (
     "dimension = 2\n"
     "epsilon = 0.3\n"
-    "grid.n = 16\n"
     "geometry.curve = spline\n"
     "geometry.points = 0.52, 0.03; 0.31, 0.41; -0.12, 0.55; -0.47, 0.22; "
     "-0.43, -0.27; -0.05, -0.49; 0.36, -0.33\n"
@@ -183,25 +180,45 @@ SPLINE_2D = (
 
 
 def test_spline_fracfield_and_evolve_in_bounded_memory(tmp_path):
-    """An off-lattice 7-point spline runs both curve commands in one fresh
-    process; the child reports VmHWM (see the singular-field memory test)."""
-    cfg = write_cfg(tmp_path, SPLINE_2D)
-    code = (
-        "import sys\n"
-        "from fracpm.cli import main\n"
-        "for cmd in ('fracfield', 'evolve'):\n"
-        f"    assert main([cmd, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
-    )
-    src = os.path.dirname(os.path.dirname(fracpm.evolution.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert int(out.stdout.split()[1]) / 1024.0 < 250.0  # VmHWM is in kB
-    report = json.loads((tmp_path / "o" / "fracfield_report.json").read_text())
-    assert report["sign_check"]["all_correct"] is True
+    """An off-lattice 7-point spline runs both curve commands (10 steps) in
+    one fresh process, on a 16^2 grid and on the default 128^2 grid."""
+    for grid in ("grid.n = 16\n", ""):
+        cfg = write_cfg(tmp_path, SPLINE_2D + grid)
+        out = tmp_path / "o"
+        code = (
+            "from fracpm.cli import main\n"
+            "for cmd in ('fracfield', 'evolve'):\n"
+            f"    assert main([cmd, '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
+        )
+        assert child_peak_mb(code) < 250.0
+        report = json.loads((out / "fracfield_report.json").read_text())
+        assert report["sign_check"]["all_correct"] is True
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # a spline knot on the node (-0.5, 0)
+        (
+            "evolve",
+            "geometry.curve = spline\n"
+            "geometry.points = 0.4819814303479266, 0.10641473822667005; "
+            "0.19651251582696183, 0.36781110902058023; "
+            "-0.2369343312364991, 0.3522382127426953; -0.5, 0.0; "
+            "-0.37653573300180554, -0.263175490375885; "
+            "0.022432415175256928, -0.3995972266165259; "
+            "0.4045084971874734, -0.23511410091698962\n"
+            "solver.dt = 1e-3\nsolver.t_final = 0.01\n",
+        ),
+        # a circle through the y-face midpoint (0, 0.4375)
+        ("spectrum", "geometry.center = 0.0, 0.03\ngeometry.radius = 0.4075\n"),
+    ],
+    ids=("spline-knot-on-node", "circle-on-y-face"),
+)
+def test_curve_on_the_lattice_is_shifted_off_it(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path, "dimension = 2\nepsilon = 0.3\ngrid.n = 16\n" + text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "translating by (h/4, h/4)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import fracpm
 from fracpm import curves
 from fracpm.curves import (
     Circle,
@@ -19,7 +14,7 @@ from fracpm.errors import ConfigError
 from fracpm.evolution import precompute_singular_field
 from fracpm.grid import FracParams, PeriodicGrid
 
-from conftest import offgrid
+from conftest import child_peak_mb, offgrid
 
 
 @pytest.fixture(scope="module")
@@ -163,12 +158,12 @@ def test_point_on_the_curve_is_rejected():
     circle = Circle((0.0, 0.0), 0.5)
     with pytest.raises(ConfigError):
         EwaldStepField2D(circle, FracParams(0.3)).evaluate(np.array([[0.5, 0.0]]))
-    # a spline point between distance samples passes the distance check;
-    # its panels keep splitting until the bisection cap
+    # a spline point between its samples: the foot-point distance sees it on
+    # the curve, and evaluation rejects it at the bisection cap
     th = 2.0 * np.pi * np.arange(7) / 7
     spl = SplineCurve(np.stack([0.5 * np.cos(th), 0.4 * np.sin(th)], axis=-1))
     on_curve, _ = spl.point(np.array([0.123457]))
-    assert spl.distance(*on_curve.T)[0] > 0
+    assert spl.distance(*on_curve.T)[0] < 1e-12
     with pytest.raises(ConfigError):
         EwaldStepField2D(spl, FracParams(0.3)).evaluate(on_curve)
 
@@ -187,16 +182,34 @@ def test_spline_through_a_circle_carries_its_coefficients_and_field():
     f_spl = EwaldStepField2D(spl, p).evaluate(pts)["field"]
     f_circle = EwaldStepField2D(circle, p).evaluate(pts)["field"]
     assert np.max(np.abs(f_spl - f_circle) / np.abs(f_circle)) < 1e-6
+    X, Y = PeriodicGrid(2, 64).nodes()
+    assert np.max(np.abs(spl.distance(X, Y) - circle.distance(X, Y))) < 1e-6
+    far = circle.distance(X, Y) > 1e-5
+    assert np.array_equal(spl.indicator(X, Y)[far], circle.indicator(X, Y)[far])
 
 
 def test_spline_outward_point_lies_at_the_distance():
+    """Along the normal at a curve point the foot-point distance is exact,
+    from 1e-8 to 1e-1 on both sides, for either knot orientation."""
     th = 2.0 * np.pi * np.arange(7) / 7
+    d = np.geomspace(1e-8, 1e-1, 15)
+    d = np.concatenate([d, -d])  # outside, inside
     for sense in (1.0, -1.0):  # counterclockwise and clockwise knots
         spl = SplineCurve(np.stack([0.5 * np.cos(th), sense * 0.4 * np.sin(th)], axis=-1))
-        d = np.array([1e-3, 1e-2, 5e-2])
-        pts = spl.outward_point(d, angle=0.37)
-        assert np.max(np.abs(spl.distance(pts[:, 0], pts[:, 1]) - d)) < 1e-6
-        assert not np.any(spl.indicator(pts[:, 0], pts[:, 1]))
+        for angle in (0.37, 2.0, 4.5):
+            pts = spl.outward_point(d, angle=angle)
+            signed = spl.signed_distance(pts[:, 0], pts[:, 1])
+            assert np.max(np.abs(signed - d)) < 1e-12
+            assert np.array_equal(spl.indicator(pts[:, 0], pts[:, 1]), d < 0)
+
+
+def test_spline_shift_is_exact():
+    th = 2.0 * np.pi * np.arange(7) / 7
+    spl = SplineCurve(np.stack([0.5 * np.cos(th), 0.4 * np.sin(th)], axis=-1))
+    t = np.linspace(0.0, 1.0, 1001)
+    for dx, dy in ((0.0, 0.0), (0.03125, -0.0078125)):
+        moved, _ = spl.shifted(dx, dy).point(t)
+        assert np.max(np.abs(moved - spl.point(t)[0] - [dx, dy])) < 1e-15
 
 
 def test_singular_field_has_lattice_symmetry(circle_64, singular_field_2d):
@@ -232,25 +245,15 @@ def test_singular_field_on_any_even_grid(offsets):
 
 def test_singular_field_memory_is_bounded():
     """One 128^2 call in a fresh process stays under 150 MB: evaluation runs
-    in fixed-size blocks of points, panels and lattice phases. The child
-    reports VmHWM, not ru_maxrss: Linux carries the parent's peak into
-    ru_maxrss across exec, and this test process can be larger than the
-    bound."""
+    in fixed-size blocks of points, panels and lattice phases."""
     code = (
         "from fracpm.curves import Circle\n"
         "from fracpm.evolution import precompute_singular_field\n"
         "from fracpm.grid import FracParams, PeriodicGrid\n"
         "grid, curve = PeriodicGrid(2, 128), Circle((0.0, 0.0), 0.49)\n"
         "precompute_singular_field(grid, curve, FracParams(0.3))\n"
-        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
     )
-    src = os.path.dirname(os.path.dirname(fracpm.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    peak_mb = int(out.stdout.split()[1]) / 1024.0  # VmHWM is in kB
-    assert peak_mb < 150.0
+    assert child_peak_mb(code) < 150.0
 
 
 def test_field_is_not_rotation_invariant(evaluator):
