@@ -13,7 +13,7 @@ from .errors import (
     FracpmError,
     LinearAlgebraError,
 )
-from .grid import FracParams, PeriodicGrid, ScalarField, SpectralCoeffs
+from .grid import FracParams, PeriodicGrid, ScalarField
 from .geometry import JumpSet1D, exponent_fit
 from .curves import Circle, SplineCurve
 from .kernel import ClausenEvaluator
@@ -34,7 +34,6 @@ __all__ = [
     "PeriodicGrid",
     "ScalarField",
     "SolverConfig",
-    "SpectralCoeffs",
     "SplineCurve",
     "Trajectory",
     "evolve",

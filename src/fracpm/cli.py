@@ -30,26 +30,26 @@ from .spectral import alpha_from_fracfield
 
 
 def _prepared(cfg: RunConfig):
-    """Grid, collision-shifted geometry, and parameters from a config."""
+    """Grid and collision-shifted geometry of a config."""
     grid = cfg.build_grid()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        geom, shifted = ensure_offgrid(cfg.build_geometry(), grid)
+        geom, _ = ensure_offgrid(cfg.build_geometry(), grid)
     for item in caught:
         print(f"note: {item.message}", file=sys.stderr)
-    return grid, geom, shifted
+    return grid, geom
 
 
 def _probe_points(cfg: RunConfig, geom, d):
+    """Points at distances d from the jump set: right of the last jump in
+    1D, along the outward ray at probes_angle in 2D."""
     if cfg.dimension == 1:
-        anchor = max(geom.positions)
-        return anchor + d, anchor
-    curve = getattr(geom, "curve", geom)
-    return curve.outward_point(d, angle=cfg.probes_angle), None
+        return max(geom.positions) + d
+    return geom.curve.outward_point(d, angle=cfg.probes_angle)
 
 
 def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
-    grid, geom, _ = _prepared(cfg)
+    grid, geom = _prepared(cfg)
     p = cfg.build_params(forbid_half=cfg.sign_check)
     S = precompute_singular_field(grid, geom, p)
     alpha = alpha_from_fracfield(S)
@@ -67,7 +67,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     )
 
     d = probe_distances(*cfg.probe_window())
-    pts, _ = _probe_points(cfg, geom, d)
+    pts = _probe_points(cfg, geom, d)
     field_vals = np.abs(oracles.step_field(geom, p)(pts))
     alpha_vals = alpha_from_fracfield(field_vals)
 
@@ -95,7 +95,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
         # only reported: its subleading term can dominate (see C05)
         gamma = -2.0 * power_constant_fit(d, field_vals)[0]
         d_sign = probe_distances(max(cfg.probes_d_min, 1e-3), 1e-2, 8)
-        pts_sign, _ = _probe_points(cfg, geom, d_sign)
+        pts_sign = _probe_points(cfg, geom, d_sign)
         _, _, second = oracles.alpha_H_and_derivatives(geom, p, pts_sign)
         want = float(np.sign(1.0 - 2.0 * p.epsilon))
         report["sign_check"] = {
@@ -115,7 +115,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, outdir: str, seed: int | None) -> int:
-    grid, geom, _ = _prepared(cfg)
+    grid, geom = _prepared(cfg)
     p = cfg.build_params()
     use_seed = cfg.seed if seed is None else seed
     if cfg.perturbation_kind == "file":
@@ -184,12 +184,12 @@ def cmd_evolve(cfg: RunConfig, outdir: str, seed: int | None) -> int:
 def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
     from . import linearop
 
-    grid, geom, _ = _prepared(cfg)
+    grid, geom = _prepared(cfg)
     p = cfg.build_params()
     alpha_faces = linearop.face_alpha(grid, geom, p)
     indicators = linearop.component_indicators(grid, geom)
     A = linearop.assemble_sparse(grid, alpha_faces)
-    if grid.n <= (4096 if grid.dim == 1 else 64):
+    if grid.n**grid.dim <= 4096:
         dense = linearop.assemble(grid, alpha_faces)
         gamma, eigs, r = linearop.spectrum_deflated(dense, indicators)
         mode = "dense"

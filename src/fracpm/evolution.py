@@ -21,6 +21,7 @@ through the solve untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,13 +85,6 @@ class Trajectory:
             self.snapshots.append((float(t), w.values.copy()))
 
 
-def step_field_on_grid(grid: PeriodicGrid, geom):
-    """H sampled at the nodes."""
-    if grid.dim == 1:
-        return geom.indicator(grid.axis_nodes())
-    return geom.indicator(*grid.nodes())
-
-
 def precompute_singular_field(
     grid: PeriodicGrid, geom, p: FracParams, offsets=(0.0, 0.0)
 ) -> np.ndarray:
@@ -99,13 +93,14 @@ def precompute_singular_field(
     One route in 1D and 2D: `oracles.step_field` (the kernel series in 1D,
     `EwaldStepField2D` in 2D, accurate at any positive distance from the
     jump set) evaluated at every node. offsets are per-axis node shifts in
-    units of h; the assembler uses -1/2 for face grids.
+    units of h; the assembler uses -1/2 for face grids. The points go to the
+    oracle shaped (*grid.shape, dim); the 1D series is elementwise, so its
+    trailing axis of length 1 is simply dropped again.
     """
-    nodes = grid.nodes()
-    if grid.dim == 1:
-        return step_field(geom, p)(nodes + offsets[0] * grid.h)
-    pts = np.stack([ax + o * grid.h for ax, o in zip(nodes, offsets)], axis=-1)
-    return step_field(geom, p)(pts)
+    pts = np.stack(
+        [ax + o * grid.h for ax, o in zip(grid.nodes(), offsets)], axis=-1
+    )
+    return step_field(geom, p)(pts).reshape(grid.shape)
 
 
 def fractional_total_field(grid, p, S, w: ScalarField):
@@ -216,7 +211,7 @@ def evolve(
     S = singular_field
     if S is None:
         S = precompute_singular_field(grid, geom, p)
-    H = step_field_on_grid(grid, geom)
+    H = geom.indicator(*grid.nodes())
     steps = n_steps if n_steps is not None else int(round(cfg.t_final / cfg.dt))
     w = ScalarField(grid, w0.values.copy())
     traj = Trajectory()
@@ -273,38 +268,21 @@ def initial_perturbation(
     """
     if kind == "none":
         return ScalarField(grid, np.zeros(grid.shape))
+    nodes = grid.nodes()
     if kind == "sine":
-        if grid.dim == 1:
-            x = grid.axis_nodes()
-            vals = np.sin(64.0 * np.pi * x**2)
-        else:
-            X, Y = grid.nodes()
-            vals = np.sin(64.0 * np.pi * (X**2 + Y**2))
+        vals = np.sin(64.0 * np.pi * sum(x**2 for x in nodes))
     elif kind == "mode":
-        if grid.dim == 1:
-            vals = np.sin(np.pi * grid.axis_nodes())
-        else:
-            X, Y = grid.nodes()
-            vals = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        vals = math.prod(np.sin(np.pi * x) for x in nodes)
     elif kind == "noise":
         rng = np.random.default_rng(seed)
         white = rng.standard_normal(grid.shape)
         c = np.fft.fftn(white)
-        if grid.dim == 1:
-            k2 = grid.wavenumbers() ** 2
-        else:
-            kx, ky = grid.wavenumbers()
-            k2 = kx**2 + ky**2
-        c[k2 > (grid.n / 8.0) ** 2] = 0.0
+        c[sum(k**2 for k in grid.wavenumbers()) > (grid.n / 8.0) ** 2] = 0.0
         vals = np.fft.ifftn(c).real
     else:
         raise ConfigError(f"unknown perturbation kind {kind!r}")
     if taper:
-        if grid.dim == 1:
-            d = geom.distance(grid.axis_nodes())
-        else:
-            d = geom.distance(*grid.nodes())
-        vals = vals * weight_profile(d, taper_delta)
+        vals = vals * weight_profile(geom.distance(*nodes), taper_delta)
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
         vals = vals * (amplitude / peak)

@@ -1,8 +1,8 @@
 """Jump geometry on the periodic box: 1D jump sets, distances, weights.
 
 The 2D curve machinery lives in `curves`; this module owns everything that
-is dimension-agnostic (weight profile, exponent fits) plus the 1D
-piecewise-constant step fields.
+is dimension-agnostic (the node/face collision shift, weight profile,
+exponent fits) plus the 1D piecewise-constant step fields.
 """
 
 from __future__ import annotations
@@ -77,36 +77,29 @@ class JumpSet1D:
 
 
 def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
-    """Shift a geometry off the node/face lattice if it collides.
+    """Shift a jump set off the node/face lattice if it collides.
 
-    1D: nodes and faces tile the h/2 lattice (the default step at +-1/2
-    collides on every power-of-two grid); a quarter-cell shift lands on the
-    h/4 sub-lattice, which can never collide. 2D: a curve within tol of a
-    node, x-face or y-face midpoint is translated by (h/4, h/4).
-    Returns (possibly shifted geometry, shifted: bool) and warns on shift.
+    The singular field is evaluated at the nodes and at the face midpoints
+    half a cell along each axis; a jump set within tol of any of them is
+    translated by h/4 along every axis. In 1D the nodes and faces tile the
+    h/2 lattice (the default step at +-1/2 collides on every power-of-two
+    grid) and the shift lands on the h/4 sub-lattice, which can never
+    collide. Returns (possibly shifted geometry, shifted: bool) and warns
+    on shift.
     """
+    nodes = grid.nodes()
     half = grid.h / 2.0
-    if isinstance(geom, JumpSet1D):
-        res = np.mod(np.asarray(geom.positions) + 1.0, half)
-        miss = np.minimum(res, half - res)
-        if np.min(miss) < tol:
-            shifted = geom.shifted(grid.h / 4.0)
-            warnings.warn(
-                "jump positions coincide with the node/face lattice; "
-                f"translating the jump set by h/4 = {grid.h / 4.0:g}",
-                stacklevel=2,
-            )
-            return shifted, True
-        return geom, False
-    X, Y = grid.nodes()
-    lattices = ((X, Y), (X + half, Y), (X, Y + half))
-    if any(np.min(geom.distance(x, y)) < tol for x, y in lattices):
-        shifted = geom.shifted(grid.h / 4.0, grid.h / 4.0)
+    faces = [tuple(x + half * e for x, e in zip(nodes, unit))
+             for unit in np.eye(grid.dim)]
+    if any(np.min(geom.distance(*pts)) < tol for pts in (nodes, *faces)):
+        q = grid.h / 4.0
+        shift = ", ".join(["h/4"] * grid.dim)
         warnings.warn(
-            "curve touches the node/face lattice; translating by (h/4, h/4)",
+            f"jump set touches the node/face lattice; translating by ({shift})"
+            f" = {q:g} per axis",
             stacklevel=2,
         )
-        return shifted, True
+        return geom.shifted(*[q] * grid.dim), True
     return geom, False
 
 

@@ -1,4 +1,4 @@
-"""Periodic grids on the box [-1, 1)^N and the field/coefficient containers.
+"""Periodic grids on the box [-1, 1)^N, the order parameter and nodal fields.
 
 Conventions, used everywhere downstream:
 
@@ -9,9 +9,12 @@ Conventions, used everywhere downstream:
 * hat coefficients are normalized so that a constant field c has coefficient
   c at k = 0, i.e. forward transform divides by n^N.
 
-Coefficient arrays are stored in numpy's native FFT layout (frequencies
-[0, 1, ..., n/2-1, -n/2, ..., -1] per axis); `PeriodicGrid.wavenumbers`
-returns matching integer-k arrays so callers never reorder anything.
+Every per-point quantity of a grid is a tuple with one array per axis, of
+the grid's shape: `nodes()` is (x,) in 1D and (X, Y) in 2D, and so is
+`wavenumbers()`, whose integer k follow numpy's native FFT layout
+([0, 1, ..., n/2-1, -n/2, ..., -1] per axis) so callers never reorder
+anything. Code that sums or loops over these tuples is the same in 1D
+and 2D.
 """
 
 from __future__ import annotations
@@ -48,19 +51,15 @@ class PeriodicGrid:
         """Node coordinates along one axis."""
         return -1.0 + self.h * np.arange(self.n)
 
-    def nodes(self):
-        """Coordinate arrays: 1D -> x; 2D -> (X, Y) meshgrid with ij indexing."""
-        x = self.axis_nodes()
-        if self.dim == 1:
-            return x
-        return np.meshgrid(x, x, indexing="ij")
+    def nodes(self) -> tuple:
+        """Node coordinates, one array per axis: (x,) in 1D, (X, Y) in 2D
+        (meshgrid with ij indexing)."""
+        return tuple(np.meshgrid(*[self.axis_nodes()] * self.dim, indexing="ij"))
 
-    def wavenumbers(self):
-        """Integer wavevectors in FFT layout: 1D -> k; 2D -> (KX, KY)."""
+    def wavenumbers(self) -> tuple:
+        """Integer wavevector components in FFT layout, one array per axis."""
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        if self.dim == 1:
-            return k
-        return np.meshgrid(k, k, indexing="ij")
+        return tuple(np.meshgrid(*[k] * self.dim, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -105,18 +104,3 @@ class ScalarField:
         cell = self.grid.h ** self.grid.dim
         return float(np.sqrt(np.sum(self.values**2) * cell))
 
-
-@dataclass
-class SpectralCoeffs:
-    """Hat coefficients in FFT layout; constants have coeff value at k=0."""
-
-    grid: PeriodicGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != self.grid.shape:
-            raise ConfigError(
-                f"coefficient shape {v.shape} does not match grid {self.grid.shape}"
-            )
-        self.values = v

@@ -142,16 +142,16 @@ def series_frac_derivative(modes, p: FracParams, x) -> np.ndarray:
 
     Sums c(k) * (i pi k / |k|^eps) * e^{i pi k x} over the resolved modes
     (the Nyquist mode is skipped, matching the real-part convention of the
-    grid operator). `modes` is a SpectralCoeffs; x may be any points.
+    grid operator). `modes` are the complex hat coefficients of
+    `spectral.dft_forward`, length n in FFT layout; x may be any points.
     """
     x = np.asarray(x, dtype=float)
-    n = modes.grid.n
-    c = modes.values
+    n = modes.shape[0]
     ks = np.fft.fftfreq(n, d=1.0 / n)
     total = np.zeros(x.shape, dtype=complex)
     for j, k in enumerate(ks):
         if k == 0 or k == -n // 2:
             continue
         m = 1j * np.pi * k * abs(k) ** (-p.epsilon)
-        total += c[j] * m * np.exp(1j * np.pi * k * x)
+        total += modes[j] * m * np.exp(1j * np.pi * k * x)
     return total.real

@@ -21,26 +21,22 @@ from .grid import FracParams, PeriodicGrid, ScalarField
 from .spectral import alpha_from_fracfield, gradient
 
 
-def face_alpha(grid: PeriodicGrid, geom, p: FracParams):
-    """Oracle diffusion coefficient at face midpoints.
+def face_alpha(grid: PeriodicGrid, geom, p: FracParams) -> np.ndarray:
+    """Oracle diffusion coefficient at face midpoints, shape (dim, *grid.shape).
 
-    1D: faces[i] sits between nodes i-1 and i. 2D: (ax_faces, ay_faces),
-    where ax_faces[i,j] is the face between nodes (i-1,j) and (i,j).
+    faces[a] sits half a cell back along axis a: faces[a][i] is the face
+    between node i - e_a and node i.
     """
     from .evolution import precompute_singular_field
 
-    if grid.dim == 1:
-        s = precompute_singular_field(grid, geom, p, offsets=(-0.5,))
-        return alpha_from_fracfield(s)
-    sx = precompute_singular_field(grid, geom, p, offsets=(-0.5, 0.0))
-    sy = precompute_singular_field(grid, geom, p, offsets=(0.0, -0.5))
-    return alpha_from_fracfield(sx), alpha_from_fracfield(sy)
+    return np.stack([
+        alpha_from_fracfield(precompute_singular_field(grid, geom, p, offsets=o))
+        for o in -0.5 * np.eye(grid.dim)  # half a cell back along one axis
+    ])
 
 
 def assemble(grid: PeriodicGrid, alpha_faces) -> np.ndarray:
     """Dense view of assemble_sparse, for the full eigensolve."""
-    if grid.dim == 1 and np.shape(alpha_faces) != (grid.n,):
-        raise ConfigError("1D face coefficient array must have length n")
     if grid.dim == 2 and grid.n > 80:
         raise ConfigError(
             "dense 2D assembly is limited to n <= 80 (matrix is n^2 x n^2)"
@@ -161,36 +157,33 @@ def assemble_sparse(grid: PeriodicGrid, alpha_faces):
     """CSR matrix A with (A w)_i = -div(alpha grad w)_i, periodic FD.
 
     The one copy of the conservative stencil; `assemble` is its dense view.
+    alpha_faces has the layout of `face_alpha`, shape (dim, *grid.shape);
+    in 1D a bare length n array is accepted too. Per axis a, node i couples
+    to i - e_a through faces[a][i] and to i + e_a through faces[a][i + e_a].
     """
     from scipy.sparse import coo_matrix
 
-    n = grid.n
-    inv_h2 = 1.0 / grid.h**2
-    if grid.dim == 1:
-        af = np.asarray(alpha_faces, dtype=float)
-        idx = np.arange(n)
-        right = af[(idx + 1) % n]
-        left = af
-        rows = np.concatenate([idx, idx, idx])
-        cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-        vals = np.concatenate([(left + right), -right, -left]) * inv_h2
-        return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    ax, ay = (np.asarray(a, dtype=float) for a in alpha_faces)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    flat = (ii * n + jj).ravel()
-
-    def nb(di, dj):
-        return (((ii + di) % n) * n + (jj + dj) % n).ravel()
-
-    a_w = ax[ii, jj].ravel()
-    a_e = ax[(ii + 1) % n, jj].ravel()
-    a_s = ay[ii, jj].ravel()
-    a_n = ay[ii, (jj + 1) % n].ravel()
-    rows = np.concatenate([flat] * 5)
-    cols = np.concatenate([flat, nb(-1, 0), nb(1, 0), nb(0, -1), nb(0, 1)])
-    vals = np.concatenate([a_w + a_e + a_s + a_n, -a_w, -a_e, -a_s, -a_n])
-    N = n * n
-    return coo_matrix((vals * inv_h2, (rows, cols)), shape=(N, N)).tocsr()
+    faces = np.asarray(alpha_faces, dtype=float)
+    if faces.shape == (grid.n,):
+        faces = faces[None]
+    if faces.shape != (grid.dim, *grid.shape):
+        raise ConfigError(
+            f"face coefficients must have shape {(grid.dim, *grid.shape)} "
+            f"(or length n in 1D), got {faces.shape}"
+        )
+    idx = np.arange(grid.n**grid.dim).reshape(grid.shape)
+    diag = np.zeros(grid.shape)
+    cols, vals = [idx], [diag]
+    for a, back in enumerate(faces):
+        ahead = np.roll(back, -1, axis=a)
+        diag += back
+        diag += ahead
+        cols += [np.roll(idx, -1, axis=a), np.roll(idx, 1, axis=a)]
+        vals += [-ahead, -back]
+    rows = np.tile(idx.ravel(), len(cols))
+    cols = np.concatenate([c.ravel() for c in cols])
+    data = np.concatenate([v.ravel() for v in vals]) * (1.0 / grid.h**2)
+    return coo_matrix((data, (rows, cols)), shape=(idx.size,) * 2).tocsr()
 
 
 def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
@@ -246,6 +239,4 @@ def fd_laplacian_eigenvalues(grid: PeriodicGrid) -> np.ndarray:
     n, h = grid.n, grid.h
     k = np.arange(n)
     lam = (4.0 / h**2) * np.sin(np.pi * k * h / 2.0) ** 2
-    if grid.dim == 1:
-        return np.sort(lam)
-    return np.sort(np.add.outer(lam, lam).ravel())
+    return np.sort(sum(np.meshgrid(*[lam] * grid.dim, indexing="ij")).ravel())

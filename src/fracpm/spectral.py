@@ -26,26 +26,22 @@ import functools
 import numpy as np
 import scipy.fft
 
-from .grid import FracParams, PeriodicGrid, ScalarField, SpectralCoeffs
+from .grid import FracParams, PeriodicGrid, ScalarField
 
 
 def _origin_phase(grid: PeriodicGrid) -> np.ndarray:
     """(-1)^(sum k): nodes start at x = -1, not 0, so the e^{i pi k x}
     basis differs from the FFT index basis by this real unit phase."""
-    if grid.dim == 1:
-        k = grid.wavenumbers()
-        return 1.0 - 2.0 * (np.abs(k).astype(int) % 2)
-    kx, ky = grid.wavenumbers()
-    return 1.0 - 2.0 * (np.abs(kx + ky).astype(int) % 2)
+    return 1.0 - 2.0 * (np.abs(sum(grid.wavenumbers())).astype(int) % 2)
 
 
-def dft_forward(f: ScalarField) -> SpectralCoeffs:
-    """Hat coefficients in the e^{i pi k x} basis; a constant c maps to
-    c at k = 0. Unlike the raw FFT layout these are position-true: summing
-    c(k) e^{i pi k x} at arbitrary x reconstructs the band-limited field."""
+def dft_forward(f: ScalarField) -> np.ndarray:
+    """Hat coefficients in the e^{i pi k x} basis, complex, in FFT layout;
+    a constant c maps to c at k = 0. Unlike the raw FFT layout these are
+    position-true: summing c(k) e^{i pi k x} at arbitrary x reconstructs
+    the band-limited field."""
     norm = f.grid.n ** f.grid.dim
-    phase = _origin_phase(f.grid)
-    return SpectralCoeffs(f.grid, phase * np.fft.fftn(f.values) / norm)
+    return _origin_phase(f.grid) * np.fft.fftn(f.values) / norm
 
 
 class SpectralOps:
@@ -57,10 +53,8 @@ class SpectralOps:
 
     def __init__(self, grid: PeriodicGrid, epsilon: float | None = None):
         n, self.shape = grid.n, grid.shape
-        half = np.arange(n // 2 + 1.0)
-        k = [half] if grid.dim == 1 else np.meshgrid(
-            np.fft.fftfreq(n, d=1.0 / n), half, indexing="ij"
-        )
+        full_axes = [np.fft.fftfreq(n, d=1.0 / n)] * (grid.dim - 1)
+        k = np.meshgrid(*full_axes, np.arange(n // 2 + 1.0), indexing="ij")
         self.deriv = [np.where(np.abs(ka) == n // 2, 0j, 1j * np.pi * ka) for ka in k]
         absk2 = sum(ka * ka for ka in k)
         self.k2, absk = np.pi**2 * absk2, np.sqrt(absk2)
@@ -98,13 +92,6 @@ def gradient(f: ScalarField) -> list:
     ops = spectral_ops(f.grid)
     c = ops.forward(f.values)
     return [ScalarField(f.grid, ops.inverse(m * c)) for m in ops.deriv]
-
-
-def divergence(fields: list) -> ScalarField:
-    g = fields[0].grid
-    ops = spectral_ops(g)
-    c = sum(m * ops.forward(f.values) for m, f in zip(ops.deriv, fields))
-    return ScalarField(g, ops.inverse(c))
 
 
 def frac_gradient_2d(f: ScalarField, p: FracParams) -> ScalarField:

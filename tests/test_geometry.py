@@ -139,6 +139,24 @@ def test_jump_set_indicator_distance_components():
     assert np.max(np.abs(geom.jump_sizes() - np.array([1.0, -1.0]))) == 0.0
 
 
+def test_ensure_offgrid_1d_checks_faces_as_well_as_nodes():
+    """A jump on a face midpoint but on no node is shifted; jumps on the
+    h/4 sub-lattice touch neither and are left alone."""
+    grid = PeriodicGrid(1, 16)
+    h = grid.h
+    on_face = JumpSet1D((-1.0 + 3.5 * h, 0.3), (1.0, 0.0))
+    assert np.min(on_face.distance(grid.axis_nodes())) > 0.25 * h
+    with pytest.warns(UserWarning, match=r"translating by \(h/4\)"):
+        moved, shifted = ensure_offgrid(on_face, grid)
+    assert shifted and moved.positions[0] == -1.0 + 3.75 * h
+
+    quarter = JumpSet1D((-1.0 + 3.25 * h, -1.0 + 10.75 * h), (1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again, shifted2 = ensure_offgrid(quarter, grid)
+    assert not shifted2 and again is quarter
+
+
 def test_ensure_offgrid_shifts_by_quarter_cell():
     grid = PeriodicGrid(1, 256)
     geom = JumpSet1D.symmetric_step()

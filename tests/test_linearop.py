@@ -160,6 +160,35 @@ def test_stencil_energy_is_the_face_sum(dim, n):
         assert np.max(np.abs(A.sum(axis=1))) <= 1e-12 * np.max(np.abs(A))
 
 
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
+def test_face_alpha_is_one_stack_of_axes(dim, n):
+    """face_alpha is shaped (dim, *grid.shape) in every dimension; for the
+    centred circle the y faces are the transposed x faces."""
+    grid = PeriodicGrid(dim, n)
+    geom = JumpSet1D.symmetric_step() if dim == 1 else Circle((0.0, 0.0), 0.49)
+    faces = lo.face_alpha(grid, offgrid(geom, grid), P7)
+    assert faces.shape == (dim, *grid.shape)
+    assert np.all((faces > 0.0) & (faces <= 1.0))
+    if dim == 2:
+        assert np.max(np.abs(faces[1] - faces[0].T)) < 1e-12
+
+
+def test_2d_stencil_is_the_kronecker_sum_of_1d_stencils():
+    """x faces that vary along x only and y faces that vary along y only
+    split the 2D operator into kron(A1(a), I) + kron(I, A1(b))."""
+    from scipy.sparse import identity, kron
+
+    n = 16
+    g1, g2 = PeriodicGrid(1, n), PeriodicGrid(2, n)
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    faces = [np.broadcast_to(a[:, None], g2.shape), np.broadcast_to(b[None, :], g2.shape)]
+    eye = identity(n)
+    want = kron(lo.assemble_sparse(g1, a), eye) + kron(eye, lo.assemble_sparse(g1, b))
+    got = lo.assemble_sparse(g2, faces)
+    assert abs(got - want).max() <= 1e-12 * abs(want).max()
+
+
 def test_dense_assembly_guards():
     with pytest.raises(ConfigError, match="length n"):
         lo.assemble(PeriodicGrid(1, 64), np.ones(63))
