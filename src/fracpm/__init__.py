@@ -14,7 +14,7 @@ from .errors import (
     LinearAlgebraError,
 )
 from .grid import FracParams, PeriodicGrid, ScalarField
-from .geometry import JumpSet1D, exponent_fit
+from .geometry import JumpSet1D, JumpSet2D, exponent_fit
 from .curves import Circle, SplineCurve
 from .kernel import ClausenEvaluator
 from .evolution import SolverConfig, Trajectory, evolve
@@ -30,6 +30,7 @@ __all__ = [
     "FracParams",
     "FracpmError",
     "JumpSet1D",
+    "JumpSet2D",
     "LinearAlgebraError",
     "PeriodicGrid",
     "ScalarField",

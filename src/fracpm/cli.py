@@ -40,14 +40,6 @@ def _prepared(cfg: RunConfig):
     return grid, geom
 
 
-def _probe_points(cfg: RunConfig, geom, d):
-    """Points at distances d from the jump set: right of the last jump in
-    1D, along the outward ray at probes_angle in 2D."""
-    if cfg.dimension == 1:
-        return max(geom.positions) + d
-    return geom.curve.outward_point(d, angle=cfg.probes_angle)
-
-
 def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     grid, geom = _prepared(cfg)
     p = cfg.build_params(forbid_half=cfg.sign_check)
@@ -67,7 +59,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     )
 
     d = probe_distances(*cfg.probe_window())
-    pts = _probe_points(cfg, geom, d)
+    pts = geom.outward_point(d, angle=cfg.probes_angle)
     field_vals = np.abs(oracles.step_field(geom, p)(pts))
     alpha_vals = alpha_from_fracfield(field_vals)
 
@@ -95,8 +87,8 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
         # only reported: its subleading term can dominate (see C05)
         gamma = -2.0 * power_constant_fit(d, field_vals)[0]
         d_sign = probe_distances(max(cfg.probes_d_min, 1e-3), 1e-2, 8)
-        pts_sign = _probe_points(cfg, geom, d_sign)
-        _, _, second = oracles.alpha_H_and_derivatives(geom, p, pts_sign)
+        pts_sign = geom.outward_point(d_sign, angle=cfg.probes_angle)
+        _, second = oracles.alpha_H_and_derivatives(geom, p, pts_sign)
         want = float(np.sign(1.0 - 2.0 * p.epsilon))
         report["sign_check"] = {
             "expected_sign": want,

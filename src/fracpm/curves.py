@@ -32,6 +32,9 @@ refined by Newton steps on the parameter and signed by the side of its
 normal. A spline shifts exactly by translating its knots. Evaluation's one
 on-curve test is the bisection cap above.
 
+A bare curve feeds only `EwaldStepField2D` and `lattice_field_2d`; every
+other call takes it wrapped in `geometry.JumpSet2D` with its step values.
+
 `lattice_field_2d` is the independent oracle: the literal truncated lattice
 sum with a tail window, cutoff K >= 8/d for the smallest distance d. It
 costs O(K^2) per batch, so it serves moderate d and cross-checks only.
@@ -66,17 +69,11 @@ def quadrature(curve, m: int):
 
 
 class _ClosedCurve:
-    """Distance and inside test from the signed distance (nearest image)."""
+    """The unsigned distance from the signed distance (nearest image)."""
 
     def distance(self, x, y) -> np.ndarray:
         """Unsigned distance to the curve, periodic images included."""
         return np.abs(self.signed_distance(x, y))
-
-    def indicator(self, x, y) -> np.ndarray:
-        return np.where(self.signed_distance(x, y) < 0, 1.0, 0.0)
-
-    def component_count(self) -> int:
-        return 2  # inside and outside
 
 
 class Circle(_ClosedCurve):
@@ -122,41 +119,6 @@ class Circle(_ClosedCurve):
         d = np.asarray(d, dtype=float)
         n = np.stack([np.cos(angle) * np.ones_like(d), np.sin(angle) * np.ones_like(d)], axis=-1)
         return self.center + (self.radius + d)[..., None] * n
-
-
-class JumpSet2D:
-    """A closed curve together with the step values on either side.
-
-    Thin adapter so 2D runs can use data other than the unit step; the
-    fractional field of outside + (inside - outside) * chi scales linearly
-    in the jump, which downstream code reads off the `jump` attribute.
-    """
-
-    def __init__(self, curve, inside: float = 1.0, outside: float = 0.0):
-        if not np.isfinite(inside) or not np.isfinite(outside):
-            raise ConfigError("step values must be finite")
-        if inside == outside:
-            raise ConfigError("step values must differ across the curve")
-        self.curve = curve
-        self.inside = float(inside)
-        self.outside = float(outside)
-
-    @property
-    def jump(self) -> float:
-        return self.inside - self.outside
-
-    def indicator(self, x, y) -> np.ndarray:
-        chi = self.curve.indicator(x, y)
-        return self.outside + (self.inside - self.outside) * chi
-
-    def distance(self, x, y) -> np.ndarray:
-        return self.curve.distance(x, y)
-
-    def shifted(self, dx: float, dy: float) -> "JumpSet2D":
-        return JumpSet2D(self.curve.shifted(dx, dy), self.inside, self.outside)
-
-    def component_count(self) -> int:
-        return self.curve.component_count()
 
 
 class SplineCurve(_ClosedCurve):

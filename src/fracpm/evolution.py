@@ -93,14 +93,12 @@ def precompute_singular_field(
     One route in 1D and 2D: `oracles.step_field` (the kernel series in 1D,
     `EwaldStepField2D` in 2D, accurate at any positive distance from the
     jump set) evaluated at every node. offsets are per-axis node shifts in
-    units of h; the assembler uses -1/2 for face grids. The points go to the
-    oracle shaped (*grid.shape, dim); the 1D series is elementwise, so its
-    trailing axis of length 1 is simply dropped again.
+    units of h; the assembler uses -1/2 for face grids.
     """
     pts = np.stack(
         [ax + o * grid.h for ax, o in zip(grid.nodes(), offsets)], axis=-1
     )
-    return step_field(geom, p)(pts).reshape(grid.shape)
+    return step_field(geom, p)(pts)
 
 
 def fractional_total_field(grid, p, S, w: ScalarField):

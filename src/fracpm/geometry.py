@@ -1,8 +1,22 @@
-"""Jump geometry on the periodic box: 1D jump sets, distances, weights.
+"""Jump geometry on the periodic box: the jump sets, distances, weights.
 
-The 2D curve machinery lives in `curves`; this module owns everything that
-is dimension-agnostic (the node/face collision shift, weight profile,
-exponent fits) plus the 1D piecewise-constant step fields.
+A jump set is the one geometry that `ensure_offgrid`, `evolution.evolve`,
+`linearop.face_alpha`, `linearop.component_indicators` and the `oracles`
+take. `JumpSet1D` (jump points) and `JumpSet2D` (a closed curve from
+`curves` with its two step values) share one interface; points go in as
+one array per axis:
+
+* label(*axes): the component of the complement of the jump set holding
+  each point, 0 <= label < component_count();
+* values: one step value per component, so indicator(*axes) is
+  values[label] and component_count() is len(values);
+* distance(*axes) and shifted(*offsets), one offset per axis;
+* outward_point(d, angle): points shaped (..., dim), the shape the oracles
+  take, at distance d outside the jump set (angle picks the ray in 2D and
+  is unused in 1D).
+
+This module also owns the dimension-agnostic pieces: the node/face
+collision shift, the weight profile and the exponent fits.
 """
 
 from __future__ import annotations
@@ -21,12 +35,22 @@ def periodic_delta(x, a) -> np.ndarray:
     return np.mod(np.asarray(x, dtype=float) - a + 1.0, 2.0) - 1.0
 
 
+class _JumpSet:
+    """What every jump set derives from its `label` and `values`."""
+
+    def indicator(self, *axes) -> np.ndarray:
+        return np.asarray(self.values)[self.label(*axes)]
+
+    def component_count(self) -> int:
+        return len(self.values)
+
+
 @dataclass(frozen=True)
-class JumpSet1D:
+class JumpSet1D(_JumpSet):
     """Sorted jump positions in [-1, 1) and the piecewise values between them.
 
     values[j] is the field value on [positions[j], positions[j+1]) with the
-    last interval wrapping around the period.
+    last interval wrapping around the period; that interval is component j.
     """
 
     positions: tuple
@@ -53,11 +77,10 @@ class JumpSet1D:
         v = np.asarray(self.values)
         return v - np.roll(v, 1)
 
-    def indicator(self, x) -> np.ndarray:
+    def label(self, x) -> np.ndarray:
         x = np.mod(np.asarray(x, dtype=float) + 1.0, 2.0) - 1.0
         idx = np.searchsorted(self.positions, x, side="right") - 1
-        idx = np.where(idx < 0, len(self.positions) - 1, idx)
-        return np.asarray(self.values)[idx]
+        return np.where(idx < 0, len(self.positions) - 1, idx)
 
     def distance(self, x) -> np.ndarray:
         d = np.min(
@@ -72,8 +95,43 @@ class JumpSet1D:
             tuple(pos[i] for i in order), tuple(self.values[i] for i in order)
         )
 
-    def component_count(self) -> int:
-        return len(self.positions)
+    def outward_point(self, d, angle=0.0) -> np.ndarray:
+        """Points d right of the last jump, shaped (..., 1); angle is unused."""
+        return (self.positions[-1] + np.asarray(d, dtype=float))[..., None]
+
+
+class JumpSet2D(_JumpSet):
+    """A closed curve with the step values inside (component 0) and outside
+    (component 1) it.
+
+    The curve's fractional field is that of the unit step; the field of
+    these values scales linearly with the jump inside - outside, which
+    `oracles.step_field` reads off the `jump` attribute.
+    """
+
+    def __init__(self, curve, inside: float = 1.0, outside: float = 0.0):
+        if not np.isfinite(inside) or not np.isfinite(outside):
+            raise ConfigError("step values must be finite")
+        if inside == outside:
+            raise ConfigError("step values must differ across the curve")
+        self.curve = curve
+        self.values = (float(inside), float(outside))
+
+    @property
+    def jump(self) -> float:
+        return self.values[0] - self.values[1]
+
+    def label(self, x, y) -> np.ndarray:
+        return np.where(self.curve.signed_distance(x, y) < 0, 0, 1)
+
+    def distance(self, x, y) -> np.ndarray:
+        return self.curve.distance(x, y)
+
+    def shifted(self, dx: float, dy: float) -> "JumpSet2D":
+        return JumpSet2D(self.curve.shifted(dx, dy), *self.values)
+
+    def outward_point(self, d, angle=0.0) -> np.ndarray:
+        return self.curve.outward_point(d, angle=angle)
 
 
 def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):

@@ -45,25 +45,14 @@ def assemble(grid: PeriodicGrid, alpha_faces) -> np.ndarray:
 
 
 def component_indicators(grid: PeriodicGrid, geom) -> np.ndarray:
-    """Indicator vectors (columns) of the components of the complement of Gamma."""
-    if grid.dim == 1:
-        x = grid.axis_nodes()
-        cols = []
-        pos = list(geom.positions)
-        for j in range(len(pos)):
-            a, b = pos[j], pos[(j + 1) % len(pos)]
-            if b > a:
-                ind = (x >= a) & (x < b)
-            else:
-                ind = (x >= a) | (x < b)
-            cols.append(ind.astype(float))
-        return np.stack(cols, axis=1)
-    curve = getattr(geom, "curve", geom)
-    inside = curve.indicator(*grid.nodes()).ravel()
-    return np.stack([inside, 1.0 - inside], axis=1)
+    """Indicator vectors (columns) of the components of the complement of
+    the jump set, one per label, at the nodes."""
+    label = geom.label(*grid.nodes()).ravel()
+    count = geom.component_count()
+    return np.stack([label == j for j in range(count)], axis=1).astype(float)
 
 
-def _orthonormal_deflation_basis(indicators: np.ndarray) -> np.ndarray:
+def deflation_basis(indicators: np.ndarray) -> np.ndarray:
     """QR basis of the indicator span; rejects rank-deficient spans.
 
     A deflation column with (numerically) zero norm after orthogonalization
@@ -96,7 +85,7 @@ def spectrum_deflated(A: np.ndarray, indicators: np.ndarray):
     defect = float(np.max(np.abs(A - A.T)))
     if defect > 1e-10 * max(matrix_norm(A), 1.0):
         raise LinearAlgebraError(f"matrix symmetry defect {defect:.2e}")
-    Q = _orthonormal_deflation_basis(indicators)
+    Q = deflation_basis(indicators)
     r = Q.shape[1]
     B = 0.5 * (A + A.T)
     PB = B - Q @ (Q.T @ B)
@@ -119,22 +108,6 @@ def kernel_dim(A_sparse, r: int) -> int:
     k = min(r + 1, A_sparse.shape[0] - 1)
     _, bottom, _ = spectrum_deflated_iterative(A_sparse, ones, k=k)
     return int(np.sum(np.abs(bottom) < 1e-10 * matrix_norm(A_sparse))) + 1
-
-
-def near_null_overlap(A: np.ndarray, indicators: np.ndarray) -> float:
-    """Subspace overlap between A's lowest eigenvectors and the indicators.
-
-    Returns the smallest principal-angle cosine between the span of the
-    r lowest eigenvectors of A and the indicator span (1 = identical).
-    """
-    from scipy.linalg import eigh, qr, svd
-
-    r = indicators.shape[1]
-    _, vecs = eigh(0.5 * (A + A.T))
-    U = vecs[:, :r]
-    Q, _ = qr(np.asarray(indicators, dtype=float), mode="economic")
-    s = svd(U.T @ Q, compute_uv=False)
-    return float(np.min(s))
 
 
 def dirichlet_energy(w: ScalarField, alpha: np.ndarray) -> float:
@@ -199,7 +172,7 @@ def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
     from scipy.sparse import eye as speye
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    Q = _orthonormal_deflation_basis(indicators)
+    Q = deflation_basis(indicators)
     r = Q.shape[1]
     n = A_sparse.shape[0]
     c = float(np.max(np.abs(A_sparse).sum(axis=1)))

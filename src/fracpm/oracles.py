@@ -44,43 +44,38 @@ def fracH_1d_derivative(geom: JumpSet1D, p: FracParams, x, order: int = 1):
 
 
 def step_field(geom, p: FracParams):
-    """x -> F(x), the exact step field of a 1D jump set or a 2D jump curve.
+    """pts -> F(pts), the exact step field of a jump set.
 
-    In 2D the Ewald evaluator is built once and reused for every call; a
-    JumpSet2D contributes |jump| as a prefactor, a bare curve a unit jump.
+    pts is shaped (..., dim) and F comes back shaped pts.shape[:-1]. In 1D
+    this is the kernel series; in 2D the Ewald evaluator of the curve,
+    built once and reused for every call, times |jump|.
     """
     if isinstance(geom, JumpSet1D):
-        return lambda x: fracH_1d(geom, p, x)
+        return lambda pts: fracH_1d(geom, p, np.squeeze(pts, -1))
     from .curves import EwaldStepField2D
 
-    curve = getattr(geom, "curve", geom)
-    jump = abs(float(getattr(geom, "jump", 1.0)))
-    ev = EwaldStepField2D(curve, p)
+    ev = EwaldStepField2D(geom.curve, p)
+    jump = abs(geom.jump)
     return lambda pts: jump * ev.evaluate(pts, want=("field",))["field"]
 
 
 def alpha_H(geom, p: FracParams, x) -> np.ndarray:
-    """alpha = 1/(1 + F^2) on the exact step field F, without derivatives.
-
-    x is an array of points in 1D, or an array shaped (..., 2) in 2D.
-    """
+    """alpha = 1/(1 + F^2) on the exact step field F at points shaped
+    (..., dim), without derivatives."""
     return alpha_from_fracfield(step_field(geom, p)(np.asarray(x, dtype=float)))
 
 
 def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 64.0):
-    """alpha = 1/(1 + F^2) on the step field F, with two FD derivatives.
+    """alpha = 1/(1 + F^2) on the step field F, and its second differences.
 
-    Every stencil step is h = fd_fraction * d(x), tied to the local distance
-    so the stencil never straddles the jump set. epsilon = 1/2 is rejected:
-    the sign analysis these derivatives feed degenerates there.
+    x has shape (..., dim). second is the sum over the axes of the central
+    second differences: alpha'' in 1D, the five-point Laplacian in 2D (not a
+    derivative along the ray). Every stencil step is h = fd_fraction * d(x),
+    tied to the local distance so the stencil never straddles the jump set.
+    epsilon = 1/2 is rejected: the sign analysis this feeds degenerates
+    there.
 
-    * 1D: x is an array of points; d_alpha and dd_alpha are the central
-      first and second differences along the coordinate.
-    * 2D: x has shape (..., 2); d_alpha is the central-difference gradient
-      vector, shape (..., 2), and dd_alpha is the five-point Laplacian
-      (steps h along both coordinate axes), not a derivative along the ray.
-
-    Returns (alpha, d_alpha, dd_alpha).
+    Returns (alpha, second).
     """
     p = FracParams(p.epsilon, forbid_half=True)
     field = step_field(geom, p)
@@ -89,27 +84,13 @@ def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 6
         return alpha_from_fracfield(field(pts))
 
     x = np.asarray(x, dtype=float)
-    if isinstance(geom, JumpSet1D):
-        h = fd_fraction * geom.distance(x)
-        a_mid = alpha_at(x)
-        a_plus = alpha_at(x + h)
-        a_minus = alpha_at(x - h)
-        d_alpha = (a_plus - a_minus) / (2.0 * h)
-        dd_alpha = (a_plus - 2.0 * a_mid + a_minus) / (h * h)
-        return a_mid, d_alpha, dd_alpha
-
-    h = fd_fraction * geom.distance(x[..., 0], x[..., 1])
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    hh = h[..., None]
-    a_mid = alpha_at(x)
-    a_e = alpha_at(x + hh * e1)
-    a_w = alpha_at(x - hh * e1)
-    a_n = alpha_at(x + hh * e2)
-    a_s = alpha_at(x - hh * e2)
-    grad = np.stack([(a_e - a_w) / (2.0 * h), (a_n - a_s) / (2.0 * h)], axis=-1)
-    lap = (a_e + a_w + a_n + a_s - 4.0 * a_mid) / (h * h)
-    return a_mid, grad, lap
+    h = fd_fraction * geom.distance(*np.moveaxis(x, -1, 0))
+    alpha = alpha_at(x)
+    pairs = 0.0
+    for e in np.eye(x.shape[-1]):
+        step = h[..., None] * e
+        pairs = pairs + alpha_at(x + step) + alpha_at(x - step)
+    return alpha, (pairs - 2.0 * x.shape[-1] * alpha) / (h * h)
 
 
 def beta_condition(p: FracParams, method: str = "beta") -> float:

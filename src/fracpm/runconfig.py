@@ -130,8 +130,8 @@ class RunConfig:
         return FracParams(self.epsilon, forbid_half=forbid_half)
 
     def build_geometry(self):
-        from .curves import Circle, JumpSet2D, SplineCurve
-        from .geometry import JumpSet1D
+        from .curves import Circle, SplineCurve
+        from .geometry import JumpSet1D, JumpSet2D
 
         if self.dimension == 1:
             order = np.argsort(self.jumps)

@@ -24,6 +24,7 @@ from .evolution import (
 )
 from .geometry import (
     JumpSet1D,
+    JumpSet2D,
     ensure_offgrid,
     exponent_fit,
     power_constant_fit,
@@ -33,6 +34,7 @@ from .grid import FracParams, PeriodicGrid, ScalarField
 from .linearop import (
     assemble,
     component_indicators,
+    deflation_basis,
     face_alpha,
     fd_laplacian_eigenvalues,
     spectrum_deflated,
@@ -232,60 +234,52 @@ def criterion_05():
     Laplacian there (2D) are reported as min_signed_*, not asserted: the
     subleading term outweighs the leading one there for 1/2 < eps < 2/3.
     """
-    details = {}
     ok = True
-    # exponent legs at eps = 0.3, window pushed into the asymptotic regime
+    slopes, signs = {}, {}
     d = probe_distances(1e-5, 1e-3, 32)
-    p = FracParams(0.3)
-    geom = JumpSet1D.symmetric_step()
-    a1d = oracles.alpha_H(geom, p, 0.5 + d)
-    slope1, r21, _ = exponent_fit(d, a1d)
-    err1 = abs(slope1 - (2.0 - 2.0 * p.epsilon))
-    leg1 = err1 <= TOLERANCES["c05_slope_tol"]
-    circle = Circle((0.0, 0.0), 0.5)
-    pts = circle.outward_point(d, angle=0.37)
-    a2d = oracles.alpha_H(circle, p, pts)
-    slope2, r22, _ = exponent_fit(d, a2d)
-    err2 = abs(slope2 - (2.0 - 2.0 * p.epsilon))
-    leg2 = err2 <= TOLERANCES["c05_slope_tol"]
-    ok &= leg1 and leg2
-    details["slope_1d"] = {"slope": slope1, "abs_err": err1, "r2": r21, "ok": bool(leg1)}
-    details["slope_2d"] = {"slope": slope2, "abs_err": err2, "r2": r22, "ok": bool(leg2)}
-    details["slope_window"] = [1e-5, 1e-3]
-    # sign legs: the concavity sign of the leading term of alpha
     d_fit = probe_distances(1e-4, 1e-2, 32)
-    pts_fit = circle.outward_point(d_fit, angle=0.37)
     d_sign = probe_distances(1e-3, 1e-2, 8)
-    pts_sign = circle.outward_point(d_sign, angle=0.37)
-    signs = {}
-    for eps in (0.3, 0.45, 0.55, 0.7):
-        pe = FracParams(eps)
-        want = np.sign(1.0 - 2.0 * eps)
-        leg = {}
-        for dim, g, x_fit, x_sign in (
-            ("1d", geom, 0.5 + d_fit, 0.5 + d_sign),
-            ("2d", circle, pts_fit, pts_sign),
-        ):
+    for dim, g in (
+        ("1d", JumpSet1D.symmetric_step()),
+        ("2d", JumpSet2D(Circle((0.0, 0.0), 0.5))),
+    ):
+        # exponent leg at eps = 0.3, window pushed into the asymptotic regime
+        p = FracParams(0.3)
+        alpha = oracles.alpha_H(g, p, g.outward_point(d, angle=0.37))
+        slope, r2, _ = exponent_fit(d, alpha)
+        err = abs(slope - (2.0 - 2.0 * p.epsilon))
+        leg_ok = bool(err <= TOLERANCES["c05_slope_tol"])
+        ok &= leg_ok
+        slopes[f"slope_{dim}"] = {"slope": slope, "abs_err": err, "r2": r2, "ok": leg_ok}
+        # sign legs: the concavity sign of the leading term of alpha
+        for eps in (0.3, 0.45, 0.55, 0.7):
+            pe = FracParams(eps)
+            want = np.sign(1.0 - 2.0 * eps)
             # alpha = 1/(1 + F^2): alpha ~ d^gamma with gamma = -2 s, s the
             # leading power of |F| = sqrt(1/alpha - 1) = a d^s + c + o(1)
-            alpha = oracles.alpha_H(g, pe, x_fit)
+            alpha = oracles.alpha_H(g, pe, g.outward_point(d_fit, angle=0.37))
             gamma = -2.0 * power_constant_fit(d_fit, np.sqrt(1.0 / alpha - 1.0))[0]
             pure_slope, _, _ = exponent_fit(d_fit, alpha)
-            _, _, second = oracles.alpha_H_and_derivatives(g, pe, x_sign)
+            pts = g.outward_point(d_sign, angle=0.37)
+            _, second = oracles.alpha_H_and_derivatives(g, pe, pts)
             leg_ok = bool(
                 np.sign(gamma * (gamma - 1.0)) == want
                 and abs(gamma - (2.0 - 2.0 * eps)) <= TOLERANCES["c05_slope_tol"]
             )
             ok &= leg_ok
-            leg[f"ok_{dim}"] = leg_ok
-            leg[f"gamma_{dim}"] = gamma
-            leg[f"pure_slope_{dim}"] = pure_slope
-            leg[f"min_signed_{dim}"] = float(np.min(want * second))
-        signs[f"eps={eps}"] = leg
-    details["sign_fit_window"] = [1e-4, 1e-2]
-    details["sign_window"] = [1e-3, 1e-2]
-    details["sign_legs"] = signs
-    return bool(ok), details
+            signs.setdefault(f"eps={eps}", {}).update({
+                f"ok_{dim}": leg_ok,
+                f"gamma_{dim}": gamma,
+                f"pure_slope_{dim}": pure_slope,
+                f"min_signed_{dim}": float(np.min(want * second)),
+            })
+    return bool(ok), {
+        **slopes,
+        "slope_window": [1e-5, 1e-3],
+        "sign_fit_window": [1e-4, 1e-2],
+        "sign_window": [1e-3, 1e-2],
+        "sign_legs": signs,
+    }
 
 
 def criterion_06():
@@ -295,7 +289,7 @@ def criterion_06():
     worst = {}
     for dim, n, start in (
         (1, 512, JumpSet1D.symmetric_step()),
-        (2, 128, Circle((0.0, 0.0), 0.5)),
+        (2, 128, JumpSet2D(Circle((0.0, 0.0), 0.5))),
     ):
         grid = PeriodicGrid(dim, n)
         geom = _offgrid(start, grid)
@@ -375,7 +369,7 @@ def criterion_09():
     A = assemble(grid, face_alpha(grid, geom, p))
     V = component_indicators(grid, geom)
     gam, _, _ = spectrum_deflated(A, V)
-    Q, _ = np.linalg.qr(V)
+    Q = deflation_basis(V)
     # odd seed mode: never excites the even near-null transition mode,
     # so the decay is governed by the deflated gap alone
     w0 = initial_perturbation(grid, geom, kind="mode", amplitude=1e-3, taper=True)

@@ -16,7 +16,7 @@ import pytest
 
 import fracpm
 from fracpm.curves import Circle
-from fracpm.geometry import JumpSet1D, ensure_offgrid
+from fracpm.geometry import JumpSet1D, JumpSet2D, ensure_offgrid
 from fracpm.grid import FracParams, PeriodicGrid
 
 
@@ -50,7 +50,7 @@ def circle_64():
     # radius 0.49 keeps every node off the curve, so the geometry is not
     # shifted and the field keeps the full symmetry of the lattice
     grid = PeriodicGrid(2, 64)
-    geom, shifted = ensure_offgrid(Circle((0.0, 0.0), 0.49), grid)
+    geom, shifted = ensure_offgrid(JumpSet2D(Circle((0.0, 0.0), 0.49)), grid)
     assert not shifted
     return grid, geom
 

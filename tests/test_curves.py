@@ -5,13 +5,13 @@ from fracpm import curves
 from fracpm.curves import (
     Circle,
     EwaldStepField2D,
-    JumpSet2D,
     SplineCurve,
     lattice_field_2d,
     quadrature,
 )
 from fracpm.errors import ConfigError
 from fracpm.evolution import precompute_singular_field
+from fracpm.geometry import JumpSet2D
 from fracpm.grid import FracParams, PeriodicGrid
 
 from conftest import child_peak_mb, offgrid
@@ -19,7 +19,7 @@ from conftest import child_peak_mb, offgrid
 
 @pytest.fixture(scope="module")
 def circle(circle_64):
-    return circle_64[1]
+    return circle_64[1].curve
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +38,6 @@ def ring(circle, d, count=64):
 
 def test_circle_basics(circle):
     assert abs(circle.length() - 2.0 * np.pi * circle.radius) < 1e-14
-    assert circle.component_count() == 2
-    assert circle.indicator(0.0, 0.0) == 1.0
-    assert circle.indicator(0.9, 0.0) == 0.0
     assert abs(circle.distance(0.0, 0.0) - circle.radius) < 1e-14
     x, y = circle.outward_point(0.1, angle=0.37)
     assert abs(circle.distance(x, y) - 0.1) < 1e-13
@@ -185,7 +182,8 @@ def test_spline_through_a_circle_carries_its_coefficients_and_field():
     X, Y = PeriodicGrid(2, 64).nodes()
     assert np.max(np.abs(spl.distance(X, Y) - circle.distance(X, Y))) < 1e-6
     far = circle.distance(X, Y) > 1e-5
-    assert np.array_equal(spl.indicator(X, Y)[far], circle.indicator(X, Y)[far])
+    labels = [JumpSet2D(c).label(X, Y)[far] for c in (spl, circle)]
+    assert np.array_equal(*labels)
 
 
 def test_spline_outward_point_lies_at_the_distance():
@@ -200,7 +198,7 @@ def test_spline_outward_point_lies_at_the_distance():
             pts = spl.outward_point(d, angle=angle)
             signed = spl.signed_distance(pts[:, 0], pts[:, 1])
             assert np.max(np.abs(signed - d)) < 1e-12
-            assert np.array_equal(spl.indicator(pts[:, 0], pts[:, 1]), d < 0)
+            assert np.array_equal(JumpSet2D(spl).label(pts[:, 0], pts[:, 1]), d > 0)
 
 
 def test_spline_shift_is_exact():
@@ -230,15 +228,15 @@ def test_singular_field_on_any_even_grid(offsets):
     here) at nodes with 0.06 <= d < 0.1, where a truncated lattice route is
     weakest; a field with 1e-7-level error there fails."""
     grid = PeriodicGrid(2, 48)
-    curve = offgrid(Circle((0.0, 0.0), 0.5), grid)
+    geom = offgrid(JumpSet2D(Circle((0.0, 0.0), 0.5)), grid)
     p = FracParams(0.3)
-    S = precompute_singular_field(grid, curve, p, offsets=offsets)
+    S = precompute_singular_field(grid, geom, p, offsets=offsets)
     X, Y = grid.nodes()
     X, Y = X + offsets[0] * grid.h, Y + offsets[1] * grid.h
-    d = curve.distance(X, Y).ravel()
+    d = geom.distance(X, Y).ravel()
     far = np.flatnonzero((d >= 0.06) & (d < 0.1))[::26]
     pts = np.stack([X.ravel()[far], Y.ravel()[far]], axis=-1)
-    lattice = lattice_field_2d(curve, p, pts, cutoff=2000)
+    lattice = lattice_field_2d(geom.curve, p, pts, cutoff=2000)
     assert far.size >= 5
     assert np.max(np.abs(S.ravel()[far] - lattice)) < 5e-8
 
@@ -249,9 +247,10 @@ def test_singular_field_memory_is_bounded():
     code = (
         "from fracpm.curves import Circle\n"
         "from fracpm.evolution import precompute_singular_field\n"
+        "from fracpm.geometry import JumpSet2D\n"
         "from fracpm.grid import FracParams, PeriodicGrid\n"
-        "grid, curve = PeriodicGrid(2, 128), Circle((0.0, 0.0), 0.49)\n"
-        "precompute_singular_field(grid, curve, FracParams(0.3))\n"
+        "grid, geom = PeriodicGrid(2, 128), JumpSet2D(Circle((0.0, 0.0), 0.49))\n"
+        "precompute_singular_field(grid, geom, FracParams(0.3))\n"
     )
     assert child_peak_mb(code) < 150.0
 
@@ -275,9 +274,7 @@ def test_spline_closed_curve_length_and_quadrature():
     polygon = np.sum(np.hypot(*np.diff(np.vstack([pts, pts[:1]]), axis=0).T))
     assert abs(spl.length() - polygon) / polygon < 1e-6
     assert abs(np.sum(w) - spl.length()) < 1e-9
-    assert spl.indicator(0.0, 0.0) == 1.0
-    assert spl.indicator(0.9, 0.9) == 0.0
-    assert spl.component_count() == 2
+    assert spl.signed_distance(0.0, 0.0) < 0 < spl.signed_distance(0.9, 0.9)
 
 
 def test_spline_distance_sanity():
@@ -287,16 +284,18 @@ def test_spline_distance_sanity():
     assert abs(spl.distance(0.0, 0.0) - 0.5) < 0.01
 
 
-def test_jump_set_adapter_blends_values(circle):
-    geom = JumpSet2D(circle, inside=2.0, outside=-1.0)
-    assert geom.jump == 3.0
-    assert geom.indicator(0.0, 0.0) == 2.0
-    assert geom.indicator(0.9, 0.0) == -1.0
-    assert geom.component_count() == circle.component_count()
+def test_jump_set_2d_indicator_is_the_component_value(circle):
+    """indicator is values[label]: 0.3 inside, not the blend -0.7 + 1.0 * 1
+    = 0.30000000000000004."""
+    geom = JumpSet2D(circle, inside=0.3, outside=-0.7)
+    assert geom.values == (0.3, -0.7) and geom.component_count() == 2
+    assert geom.indicator(0.0, 0.0) == 0.3
+    assert geom.indicator(0.9, 0.0) == -0.7
+    assert JumpSet2D(circle, 2.0, -1.0).jump == 3.0
     x = np.array([0.7, 0.1])
     assert np.allclose(geom.distance(x, x), circle.distance(x, x))
     moved = geom.shifted(0.01, -0.02)
-    assert moved.inside == 2.0 and moved.outside == -1.0
+    assert moved.values == geom.values
     assert abs(moved.curve.center[0] - circle.center[0] - 0.01) < 1e-15
 
 
@@ -307,7 +306,7 @@ def test_jump_set_adapter_scales_alpha_field(circle):
     p = FracParams(0.3)
     pts = ring(circle, 0.1, 3)
     base = EwaldStepField2D(circle, p).evaluate(pts)["field"]
-    alpha, _, _ = alpha_H_and_derivatives(JumpSet2D(circle, 2.0, -1.0), p, pts)
+    alpha, _ = alpha_H_and_derivatives(JumpSet2D(circle, 2.0, -1.0), p, pts)
     assert np.max(np.abs(alpha - 1.0 / (1.0 + (3.0 * base) ** 2))) < 1e-12
 
 

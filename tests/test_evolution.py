@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracpm.evolution as evo
-from fracpm.errors import BlowUpError, ConfigError
+from fracpm.errors import BlowUpError, ConfigError, LinearAlgebraError
 from fracpm.evolution import (
     SemiImplicitStepper,
     SolverConfig,
@@ -172,20 +172,48 @@ def test_stale_fd_factor_converges_on_rough_noise(run_1d, monkeypatch):
 
 def test_fd_failure_falls_back_to_fft_solve(run_1d, monkeypatch):
     """Where the FD factor fails within max_linear_iter, the step is solved
-    again with the FFT preconditioner, which the run keeps from then on."""
+    again with the FFT preconditioner, which the run keeps from then on.
+    The step counts max_linear_iter plus the FFT solve's iterations."""
     grid, geom, _ = run_1d
     p = FracParams(0.3)
     S = precompute_singular_field(grid, geom, p)
     builds = _count_fd_builds(monkeypatch)
+    solves = []  # (preconditioner, iterations or None on failure) per CG solve
+    real_pcg = evo._pcg
+
+    def recording_pcg(apply_a, b, precond, tol, maxiter):
+        solves.append((precond, None))
+        x, it = real_pcg(apply_a, b, precond, tol, maxiter)
+        solves[-1] = (precond, it)
+        return x, it
+
+    monkeypatch.setattr(evo, "_pcg", recording_pcg)
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=0.5, taper=False, seed=4)
     cfg = SolverConfig(dt=2e-3, max_linear_iter=120)
     traj = evolve(grid, geom, p, w0, cfg, n_steps=10, singular_field=S)
     iters = traj.cg_iterations
     failed = [i for i, it in enumerate(iters) if it > cfg.max_linear_iter]
     assert len(failed) == 1 and len(builds) == 1
-    assert all(it < cfg.max_linear_iter for it in iters[failed[0] + 1:])
+    k = failed[0]  # one solve per step before it, so solve k failed
+    assert [it is None for _, it in solves] == [i == k for i in range(len(iters) + 1)]
+    assert iters[k] == cfg.max_linear_iter + solves[k + 1][1]
+    factor = solves[0][0]
+    assert all(pc is factor for pc, _ in solves[: k + 1])
+    assert not any(pc is factor for pc, _ in solves[k + 1:])
+    assert all(it < cfg.max_linear_iter for it in iters[k + 1:])
     mean = np.asarray(traj.mean_u)
     assert np.max(np.abs(mean - mean[0])) < 1e-10
+
+
+
+def test_2d_cg_failure_raises():
+    """2D has no factor to fall back from: a CG failure is final."""
+    grid = PeriodicGrid(2, 8)
+    rng = np.random.default_rng(2)
+    stepper = SemiImplicitStepper(grid, SolverConfig(dt=1e-2, max_linear_iter=1))
+    w = ScalarField(grid, rng.standard_normal(grid.shape))
+    with pytest.raises(LinearAlgebraError):
+        stepper.advance(w, rng.uniform(0.1, 1.0, grid.shape))
 
 
 def test_cross_scheme_agreement_is_second_order():

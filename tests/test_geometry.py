@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracpm.curves import Circle, SplineCurve
 from fracpm.errors import ConfigError
 from fracpm.geometry import (
     JumpSet1D,
+    JumpSet2D,
     ensure_offgrid,
     exponent_fit,
     periodic_delta,
@@ -16,6 +18,7 @@ from fracpm.geometry import (
     weight_profile,
 )
 from fracpm.grid import PeriodicGrid
+from fracpm.linearop import component_indicators
 
 
 def test_weight_profile_plateau_and_identity():
@@ -137,6 +140,37 @@ def test_jump_set_indicator_distance_components():
     d = geom.distance(np.array([0.0, 0.6, -0.95]))
     assert np.allclose(d, [0.5, 0.1, 0.45], atol=1e-14)
     assert np.max(np.abs(geom.jump_sizes() - np.array([1.0, -1.0]))) == 0.0
+
+
+def _jump_set(kind):
+    if kind == "three-jumps":
+        return JumpSet1D((-0.61, 0.07, 0.43), (1.0, -0.5, 0.25))
+    if kind == "circle":
+        return JumpSet2D(Circle((0.1, -0.05), 0.45), 0.3, -0.7)
+    th = 2.0 * np.pi * np.arange(7) / 7
+    return JumpSet2D(SplineCurve(np.stack([0.5 * np.cos(th), 0.4 * np.sin(th)], -1)), -2.0, 1.5)
+
+
+@pytest.mark.parametrize("kind", ["three-jumps", "circle", "spline"])
+def test_jump_sets_share_one_interface(kind):
+    """In 1D and 2D alike: the component columns partition the nodes, the
+    indicator is the value of each node's component, and outward points,
+    shaped (..., dim), lie at distance d."""
+    geom = _jump_set(kind)
+    grid = PeriodicGrid(1 if kind == "three-jumps" else 2, 64)
+    nodes = grid.nodes()
+    label = geom.label(*nodes)
+    ind = component_indicators(grid, geom)
+    assert ind.shape == (grid.n**grid.dim, geom.component_count())
+    assert np.array_equal(ind.sum(axis=1), np.ones(ind.shape[0]))
+    assert np.all(ind.sum(axis=0) > 0)
+    assert np.array_equal(ind.argmax(axis=1), label.ravel())
+    assert np.array_equal(geom.indicator(*nodes), np.asarray(geom.values)[label])
+    d = np.geomspace(1e-8, 1e-1, 15)
+    for angle in (0.37, 2.0):
+        pts = geom.outward_point(d, angle=angle)
+        assert pts.shape == (d.size, grid.dim)
+        assert np.max(np.abs(geom.distance(*np.moveaxis(pts, -1, 0)) - d)) < 1e-12
 
 
 def test_ensure_offgrid_1d_checks_faces_as_well_as_nodes():

@@ -5,7 +5,7 @@ import fracpm.linearop as lo
 from fracpm.curves import Circle
 from fracpm.errors import ConfigError, LinearAlgebraError
 from fracpm.evolution import precompute_singular_field
-from fracpm.geometry import JumpSet1D
+from fracpm.geometry import JumpSet1D, JumpSet2D
 from fracpm.grid import FracParams, PeriodicGrid, ScalarField
 
 from conftest import offgrid
@@ -103,13 +103,24 @@ def test_gap_and_constant_stable_under_refinement():
     assert max(cs) / min(cs) - 1.0 < 0.10
 
 
+def near_null_overlap(A: np.ndarray, indicators: np.ndarray) -> float:
+    """Smallest principal-angle cosine between the span of the r lowest
+    eigenvectors of A and the indicator span (1 = identical)."""
+    from scipy.linalg import eigh, qr, svd
+
+    r = indicators.shape[1]
+    _, vecs = eigh(0.5 * (A + A.T))
+    Q, _ = qr(np.asarray(indicators, dtype=float), mode="economic")
+    return float(np.min(svd(vecs[:, :r].T @ Q, compute_uv=False)))
+
+
 def test_near_null_overlap_at_small_epsilon():
     # overlap climbs toward 1 with resolution; above 0.999 needs eps well
     # below 1/2 or a fine grid
     overlaps = {}
     for n in (512, 1024):
         grid, geom, A = build(n, FracParams(0.2))
-        overlaps[n] = lo.near_null_overlap(A, lo.component_indicators(grid, geom))
+        overlaps[n] = near_null_overlap(A, lo.component_indicators(grid, geom))
     assert overlaps[512] < overlaps[1024]
     assert overlaps[1024] > 0.999
 
@@ -165,7 +176,7 @@ def test_face_alpha_is_one_stack_of_axes(dim, n):
     """face_alpha is shaped (dim, *grid.shape) in every dimension; for the
     centred circle the y faces are the transposed x faces."""
     grid = PeriodicGrid(dim, n)
-    geom = JumpSet1D.symmetric_step() if dim == 1 else Circle((0.0, 0.0), 0.49)
+    geom = JumpSet1D.symmetric_step() if dim == 1 else JumpSet2D(Circle((0.0, 0.0), 0.49))
     faces = lo.face_alpha(grid, offgrid(geom, grid), P7)
     assert faces.shape == (dim, *grid.shape)
     assert np.all((faces > 0.0) & (faces <= 1.0))
@@ -224,7 +235,7 @@ def test_kernel_dim_matches_dense_count(op_512):
 
 def test_kernel_dim_matches_dense_count_2d():
     grid = PeriodicGrid(2, 16)
-    geom = offgrid(Circle((0.0, 0.0), 0.49), grid)
+    geom = offgrid(JumpSet2D(Circle((0.0, 0.0), 0.49)), grid)
     A_sparse = lo.assemble_sparse(grid, lo.face_alpha(grid, geom, P7))
     assert lo.kernel_dim(A_sparse, 2) == dense_kernel_dim(A_sparse.toarray()) == 1
 

@@ -1,8 +1,7 @@
 import pytest
 
-from fracpm.curves import JumpSet2D
 from fracpm.errors import ConfigError, ExcludedParameterError
-from fracpm.geometry import JumpSet1D
+from fracpm.geometry import JumpSet1D, JumpSet2D
 from fracpm.runconfig import load_config, parse_config_text
 
 MINIMAL = "dimension = 1\nepsilon = 0.7\n"
