@@ -164,7 +164,10 @@ class SplineCurve(_ClosedCurve):
             tangent = self._spline(t, 1)
             f = np.sum(gap * tangent, axis=-1)
             df = np.sum(tangent * tangent + gap * self._spline(t, 2), axis=-1)
-            t = t - np.clip(f / df, -self._tt[1], self._tt[1])
+            # clipped to one sample spacing; no division where df is about 0
+            big = np.abs(f) >= self._tt[1] * np.abs(df)
+            clipped = np.copysign(self._tt[1], f) * np.copysign(1.0, df)
+            t = t - np.where(big, clipped, f / np.where(big, 1.0, df))
         gap = q - self._spline(t)
         tx, ty = np.moveaxis(self._spline(t, 1), -1, 0)
         side = self._sense * (gap[..., 0] * ty - gap[..., 1] * tx)

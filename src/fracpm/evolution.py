@@ -6,17 +6,17 @@ step only transforms the smooth part w. The evolved equation is
 
     w_t = div(alpha * grad w),   alpha = 1 / (1 + (S + Fw)^2),
 
-where Fw is the grid fractional gradient of w; the flux contribution of H
-itself vanishes identically because alpha -> 0 at the jump set faster than
-|grad H| blows up, which is exactly why H is stationary.
+where Fw is the grid fractional gradient of w. The flux of H, alpha times
+a surface measure on the jump set where alpha vanishes, is dropped: H is
+stationary in the weak sense only (its strong residual grows with n).
 
 Default scheme is semi-implicit: alpha frozen at time n, the linear solve
 (I - dt * div(alpha grad)) w+ = w done by preconditioned CG. The operator
 is symmetric negative semidefinite (spectral derivatives with the odd-
 multiplier Nyquist convention), so I - dt*L is SPD for every dt and CG
-needs no step-size restriction. The mean of w is conserved exactly: the
-divergence multiplier vanishes at k = 0, so the k = 0 component passes
-through the solve untouched.
+needs no step-size restriction. The divergence multiplier vanishes at
+k = 0, so L w has zero mean and an explicit step keeps the mean of w; the
+CG solve keeps it to its tolerance (its k = 0 coefficient converges too).
 """
 
 from __future__ import annotations
@@ -95,42 +95,37 @@ def precompute_singular_field(
     jump set) evaluated at every node. offsets are per-axis node shifts in
     units of h; the assembler uses -1/2 for face grids.
     """
-    pts = np.stack(
-        [ax + o * grid.h for ax, o in zip(grid.nodes(), offsets)], axis=-1
-    )
+    pts = np.stack([ax + o * grid.h for ax, o in zip(grid.nodes(), offsets)], axis=-1)
     return step_field(geom, p)(pts)
 
 
-def fractional_total_field(grid, p, S, w: ScalarField):
-    """S + fractional gradient of w (signed 1D, scalar magnitude route 2D)."""
-    if grid.dim == 1:
-        return S + spectral.frac_derivative_1d(w, p).values
-    return S + spectral.frac_gradient_2d(w, p).values
-
-
 def diffusion_coefficient(grid, p, S, w: ScalarField) -> np.ndarray:
-    v = fractional_total_field(grid, p, S, w)
-    return spectral.alpha_from_fracfield(v)
+    """alpha of S + fractional gradient of w (signed 1D, magnitude 2D)."""
+    frac = spectral.frac_derivative_1d if grid.dim == 1 else spectral.frac_gradient_2d
+    return spectral.alpha_from_fracfield(S + frac(w, p).values)
 
 
 def _pcg(apply_a, b, precond, tol, maxiter):
+    """Preconditioned CG on rfftn coefficients. Every inner product is
+    `spectral.parseval_dot`, so ||r|| <= tol ||b|| is the real 2-norm rule."""
+    dot = spectral.parseval_dot
     x = np.zeros_like(b)
     r = b.copy()
-    norm_b = np.linalg.norm(r)
+    norm_b = math.sqrt(dot(b, b))
     if norm_b == 0.0:
         return x, 0
     z = precond(r)
     pdir = z.copy()
-    rz = float(np.vdot(r, z).real)
+    rz = dot(r, z)
     for it in range(1, maxiter + 1):
         ap = apply_a(pdir)
-        alpha = rz / float(np.vdot(pdir, ap).real)
+        alpha = rz / dot(pdir, ap)
         x += alpha * pdir
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol * norm_b:
+        if math.sqrt(dot(r, r)) <= tol * norm_b:
             return x, it
         z = precond(r)
-        rz_new = float(np.vdot(r, z).real)
+        rz_new = dot(r, z)
         pdir = z + (rz_new / rz) * pdir
         rz = rz_new
     raise LinearAlgebraError(
@@ -139,15 +134,18 @@ def _pcg(apply_a, b, precond, tol, maxiter):
 
 
 class SemiImplicitStepper:
-    """One (I - dt div(alpha grad)) solve per step by preconditioned CG.
+    """One (I - dt div(alpha grad)) solve per step by preconditioned CG on
+    rfftn coefficients: one FFT of w in, one of the solution out, and one
+    `spectral.pm_divergence_form` (2 real FFTs per axis) per iteration.
 
-    1D preconditions with I + dt A_fd (conservative FD matrix on face means
-    of the first alpha received), factored once: alpha is dominated by the
-    fixed singular field, and a stale factor costs iterations, not accuracy.
-    If CG fails with it (alpha rough at the grid scale, where A_fd weighs
-    the Nyquist modes the spectral operator annihilates), the step and the
-    rest of the run use the FFT solve at mean(alpha) that 2D always uses; a
-    2D five-point factor cost about seven FFT solves and saved no iterations.
+    2D preconditions with the diagonal solve at mean(alpha), no FFT (a 2D
+    five-point factor cost about seven FFT solves and saved no iterations).
+    1D uses F (I + dt A_fd)^-1 F^-1, A_fd the conservative FD matrix on face
+    means of the first alpha received, factored once: alpha is dominated by
+    the fixed singular field, so a stale factor costs iterations, not
+    accuracy. If CG fails with it (alpha rough at the grid scale, where A_fd
+    weighs the Nyquist modes the spectral operator annihilates), the step
+    and the rest of the run use the diagonal solve.
     """
 
     def __init__(self, grid: PeriodicGrid, cfg: SolverConfig):
@@ -158,37 +156,36 @@ class SemiImplicitStepper:
 
     def _precond(self, alpha: np.ndarray):
         g, dt = self.grid, self.cfg.dt
+        ops = spectral.spectral_ops(g)
         if g.dim == 1 and self._fd_solve is None:
             faces = 0.5 * (alpha + np.roll(alpha, 1))
             m = speye(g.n) + dt * linearop.assemble_sparse(g, faces)
-            self._fd_solve = splu(m.tocsc()).solve
+            solve = splu(m.tocsc()).solve
+            self._fd_solve = lambda r: ops.forward(solve(ops.inverse(r)))
         if self._fd_solve:
             return self._fd_solve
-        ops = spectral.spectral_ops(g)
-        sym = 1.0 + dt * float(np.mean(alpha)) * ops.k2
-        return lambda r: ops.inverse(ops.forward(r.reshape(g.shape)) / sym).reshape(-1)
+        inv = 1.0 / (1.0 + dt * float(np.mean(alpha)) * ops.k2)
+        return lambda r: r * inv
 
     def advance(self, w: ScalarField, alpha: np.ndarray) -> ScalarField:
         g, dt = self.grid, self.cfg.dt
         tol, maxiter = self.cfg.tolerance, self.cfg.max_linear_iter
+        ops = spectral.spectral_ops(g)
         alpha_field = ScalarField(g, alpha)
+        b = ops.forward(w.values)
 
-        def apply_a(v):
-            vf = ScalarField(g, v.reshape(g.shape))
-            return v - dt * spectral.pm_divergence_form(alpha_field, vf).values.ravel()
-
-        def solve():
-            return _pcg(apply_a, w.values.ravel(), self._precond(alpha), tol, maxiter)
+        def apply_a(c):
+            return c - dt * spectral.pm_divergence_form(alpha_field, c)
 
         try:
-            sol, self.last_iterations = solve()
+            sol, self.last_iterations = _pcg(apply_a, b, self._precond(alpha), tol, maxiter)
         except LinearAlgebraError:
-            if not self._fd_solve:  # 2D, or 1D already on the FFT solve
+            if not self._fd_solve:  # 2D, or 1D already on the diagonal solve
                 raise
             self._fd_solve = False
-            sol, iters = solve()
+            sol, iters = _pcg(apply_a, b, self._precond(alpha), tol, maxiter)
             self.last_iterations = maxiter + iters
-        return ScalarField(g, sol.reshape(g.shape))
+        return ScalarField(g, ops.inverse(sol))
 
 
 def evolve(
@@ -224,11 +221,9 @@ def evolve(
             w = stepper.advance(w, alpha)
             traj.cg_iterations.append(stepper.last_iterations)
         else:
-            alpha_field = ScalarField(grid, alpha)
-            w = ScalarField(
-                grid,
-                w.values + cfg.dt * spectral.pm_divergence_form(alpha_field, w).values,
-            )
+            ops = spectral.spectral_ops(grid)
+            flux = spectral.pm_divergence_form(ScalarField(grid, alpha), ops.forward(w.values))
+            w = ScalarField(grid, w.values + cfg.dt * ops.inverse(flux))
         u = H + w.values
         if float(np.max(np.abs(u))) > limit:
             raise BlowUpError(

@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, ExcludedParameterError
 from .grid import PeriodicGrid
@@ -139,9 +140,10 @@ def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
 
     The singular field is evaluated at the nodes and at the face midpoints
     half a cell along each axis; a jump set within tol of any of them is
-    translated by h/4 along every axis. In 1D the nodes and faces tile the
-    h/2 lattice (the default step at +-1/2 collides on every power-of-two
-    grid) and the shift lands on the h/4 sub-lattice, which can never
+    translated along every axis by the first of h/4, h/8 and 3h/8 that
+    clears them all (a ConfigError if none does). In 1D the nodes and faces
+    tile the h/2 lattice (the default step at +-1/2 collides on every
+    power-of-two grid) and h/4 lands on the h/4 sub-lattice, which can never
     collide. Returns (possibly shifted geometry, shifted: bool) and warns
     on shift.
     """
@@ -149,16 +151,27 @@ def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
     half = grid.h / 2.0
     faces = [tuple(x + half * e for x, e in zip(nodes, unit))
              for unit in np.eye(grid.dim)]
-    if any(np.min(geom.distance(*pts)) < tol for pts in (nodes, *faces)):
-        q = grid.h / 4.0
-        shift = ", ".join(["h/4"] * grid.dim)
-        warnings.warn(
-            f"jump set touches the node/face lattice; translating by ({shift})"
-            f" = {q:g} per axis",
-            stacklevel=2,
-        )
-        return geom.shifted(*[q] * grid.dim), True
-    return geom, False
+
+    def collides(g):
+        return any(np.min(g.distance(*pts)) < tol for pts in (nodes, *faces))
+
+    if not collides(geom):
+        return geom, False
+    for name, frac in (("h/4", 0.25), ("h/8", 0.125), ("3h/8", 0.375)):
+        q = frac * grid.h
+        moved = geom.shifted(*[q] * grid.dim)
+        if not collides(moved):
+            shift = ", ".join([name] * grid.dim)
+            warnings.warn(
+                f"jump set touches the node/face lattice; translating by ({shift})"
+                f" = {q:g} per axis",
+                stacklevel=2,
+            )
+            return moved, True
+    raise ConfigError(
+        "jump set touches the node/face lattice after each of the shifts"
+        " h/4, h/8 and 3h/8 along every axis; move it or change grid.n"
+    )
 
 
 def _hermite_blend_coeffs() -> np.ndarray:
@@ -262,8 +275,6 @@ def power_constant_fit(d, values):
     root-mean-square relative residual. The sample guards are those of
     exponent_fit.
     """
-    from scipy.optimize import minimize_scalar
-
     d, y = _fit_samples(d, values, None, None, "power-plus-constant fit")
     d_ref = np.sqrt(d.min() * d.max())  # keeps the d^s column well scaled
     x = d / d_ref

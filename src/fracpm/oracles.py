@@ -9,7 +9,6 @@ drowned in Gibbs ripple.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
 from .geometry import JumpSet1D
@@ -108,6 +107,8 @@ def beta_condition(p: FracParams, method: str = "beta") -> float:
             - 0.5 * beta_fn(0.5, (1.0 - eps) / 2.0)
         )
     if method == "quadrature":
+        from scipy.integrate import quad
+
         # After u = pi/2 - t both integrands are u^power * (smooth), and
         # the power is taken by the algebraic-weight rule; adaptive
         # subdivision alone stalls near 1e-10 on the singular one, while

@@ -9,9 +9,9 @@ wavevectors k of the basis e^{i pi k . x}:
   multiplier |k|^{-epsilon} is applied (k = 0 component removed).
 
 The diffusion coefficient is alpha(v) = 1 / (1 + v^2) evaluated on the
-fractional-gradient magnitude, and the divergence-form operator
-div(alpha * grad w) is assembled from first-order spectral derivatives with
-the pointwise product in physical space.
+fractional-gradient magnitude. The divergence-form operator div(alpha *
+grad w) maps rfftn coefficients to rfftn coefficients through first-order
+spectral derivatives and the pointwise product in physical space.
 
 Real output: all first-order multipliers here are odd in k, so on an even
 grid they would map the (real) Nyquist coefficient of a real field to an
@@ -114,14 +114,19 @@ def alpha_from_fracfield(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + v * v)
 
 
-def pm_divergence_form(alpha: ScalarField, w: ScalarField) -> ScalarField:
-    """div(alpha * grad w), spectral derivatives, physical-space product.
+def pm_divergence_form(alpha: ScalarField, c: np.ndarray) -> np.ndarray:
+    """rfftn coefficients of div(alpha * grad w) from those of w, c:
+    sum_a m_a F(alpha F^-1(m_a c)), 2 real FFTs per axis.
 
     The outer divergence multiplier vanishes at k = 0, so the result has
-    exactly zero mean coefficient; this is what makes the semi-implicit step
-    conserve the mean to round-off.
+    exactly zero mean coefficient.
     """
-    ops = spectral_ops(w.grid)
-    c = ops.forward(w.values)
-    flux = sum(m * ops.forward(alpha.values * ops.inverse(m * c)) for m in ops.deriv)
-    return ScalarField(w.grid, ops.inverse(flux))
+    ops = spectral_ops(alpha.grid)
+    return sum(m * ops.forward(alpha.values * ops.inverse(m * c)) for m in ops.deriv)
+
+
+def parseval_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """N u.v from the rfftn coefficients of real u, v on N nodes (even n):
+    the k_last = 0 and Nyquist columns count once, every other one twice."""
+    ends = a.shape[-1] - 1
+    return 2.0 * np.vdot(a, b).real - np.vdot(a[..., ::ends], b[..., ::ends]).real

@@ -221,6 +221,30 @@ def test_curve_on_the_lattice_is_shifted_off_it(tmp_path, capsys, command, text)
     assert "translating by (h/4, h/4)" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["fracfield", "evolve"])
+def test_diamond_spline_takes_the_next_shift(tmp_path, capsys, command):
+    """At n = 16 the diamond's h/4-shifted spline passes through the node
+    (0.375, 0.375); the h/8 shift clears the lattice, and the shift note is
+    all that reaches stderr (a warning anywhere else fails the test)."""
+    cfg = write_cfg(
+        tmp_path,
+        "dimension = 2\nepsilon = 0.3\ngrid.n = 16\ngeometry.curve = spline\n"
+        "geometry.points = 0.5, 0; 0, 0.5; -0.5, 0; 0, -0.5\n"
+        "solver.dt = 1e-3\nsolver.t_final = 0.005\n",
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("note: ")
+    assert "translating by (h/8, h/8)" in err[0]
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Import budget: only C01's quadrature cross-check needs scipy.integrate,
+    so a fresh `import fracpm.cli` must not pay for loading it."""
+    child_peak_mb("import sys, fracpm.cli\nassert 'scipy.integrate' not in sys.modules\n")
+
+
 @pytest.mark.parametrize(
     "command, text, named",
     [

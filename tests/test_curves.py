@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,16 @@ def test_spline_closed_curve_length_and_quadrature():
     assert abs(spl.length() - polygon) / polygon < 1e-6
     assert abs(np.sum(w) - spl.length()) < 1e-9
     assert spl.signed_distance(0.0, 0.0) < 0 < spl.signed_distance(0.9, 0.9)
+
+
+def test_spline_newton_step_does_not_divide_at_a_centre_of_curvature():
+    """At the node (0.125, 0) the diamond spline's Newton slope df vanishes;
+    the clipped step is taken there instead of a division by zero."""
+    diamond = SplineCurve([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = diamond.distance(0.125, 0.0)
+    assert d == pytest.approx(0.375, abs=1e-9)
 
 
 def test_spline_distance_sanity():

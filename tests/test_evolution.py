@@ -104,6 +104,45 @@ def test_semi_implicit_single_mode_factor():
     assert np.max(np.abs(out.values - w.values / (1.0 + dt * np.pi**2))) < 1e-12
 
 
+def oracle_real_space_pcg(apply_a, b, precond, tol, maxiter):
+    """Independent oracle for the stepper's CG: textbook preconditioned CG
+    on nodal values with the plain 2-norm, no spectral coefficients."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond(r)
+    pdir = z.copy()
+    rz = float(np.vdot(r, z))
+    for it in range(1, maxiter + 1):
+        ap = apply_a(pdir)
+        step = rz / float(np.vdot(pdir, ap))
+        x += step * pdir
+        r -= step * ap
+        if np.linalg.norm(r) <= tol * np.linalg.norm(b):
+            return x, it
+        z = precond(r)
+        rz_new = float(np.vdot(r, z))
+        pdir = z + (rz_new / rz) * pdir
+        rz = rz_new
+    raise AssertionError("oracle CG did not converge")
+
+
+def oracle_real_space_system(grid, alpha, dt):
+    """v -> v - dt div(alpha grad v) on nodal values by complex FFTs (real
+    part of each inverse), and the FFT solve at mean(alpha) that
+    preconditions it; both independent of `fracpm.spectral`."""
+    k = grid.wavenumbers()
+
+    def apply(mult, v):
+        return np.fft.ifftn(mult * np.fft.fftn(v)).real
+
+    def apply_a(v):
+        div = sum(apply(1j * np.pi * ka, alpha * apply(1j * np.pi * ka, v)) for ka in k)
+        return v - dt * div
+
+    sym = 1.0 + dt * np.mean(alpha) * np.pi**2 * sum(ka**2 for ka in k)
+    return apply_a, lambda r: apply(1.0 / sym, r)
+
+
 def test_fd_preconditioned_advance_matches_fft_preconditioned_solve(run_1d):
     """The 1D FD preconditioner changes the iterations, not the solution.
     I - dt L >= I, so two solves with relative residual <= tol differ by
@@ -115,21 +154,64 @@ def test_fd_preconditioned_advance_matches_fft_preconditioned_solve(run_1d):
     stepper = SemiImplicitStepper(grid, cfg)
     got = stepper.advance(w, alpha).values
 
-    alpha_field = ScalarField(grid, alpha)
-    (k,) = grid.wavenumbers()
-    sym = 1.0 + cfg.dt * np.mean(alpha) * (np.pi * k) ** 2
-
-    def apply_a(v):
-        vf = ScalarField(grid, v)
-        return v - cfg.dt * spectral.pm_divergence_form(alpha_field, vf).values
-
-    def fft_precond(r):
-        return np.fft.ifft(np.fft.fft(r) / sym).real
-
-    want, fft_iters = evo._pcg(apply_a, w.values, fft_precond, cfg.tolerance, 500)
+    apply_a, fft_precond = oracle_real_space_system(grid, alpha, cfg.dt)
+    want, fft_iters = oracle_real_space_pcg(apply_a, w.values, fft_precond, cfg.tolerance, 500)
     b = np.linalg.norm(w.values)
     assert np.linalg.norm(got - want) <= 2.0 * cfg.tolerance * b
     assert stepper.last_iterations < fft_iters
+
+
+def test_2d_advance_matches_real_space_cg(singular_field_2d, circle_64):
+    """The half-spectrum CG is the real-space CG in other coordinates: same
+    iterations, solutions within 2 tol |b| of each other."""
+    grid, geom = circle_64
+    p = FracParams(0.3)
+    w = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=8)
+    alpha = evo.diffusion_coefficient(grid, p, singular_field_2d, w)
+    cfg = SolverConfig(dt=2e-3)
+    stepper = SemiImplicitStepper(grid, cfg)
+    got = stepper.advance(w, alpha).values
+
+    apply_a, precond = oracle_real_space_system(grid, alpha, cfg.dt)
+    want, iters = oracle_real_space_pcg(apply_a, w.values, precond, cfg.tolerance, 500)
+    assert stepper.last_iterations == iters > 10
+    assert np.linalg.norm(got - want) <= 2.0 * cfg.tolerance * np.linalg.norm(w.values)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+def test_one_matvec_per_cg_iteration(dim, n, monkeypatch):
+    calls = []
+    matvec = spectral.pm_divergence_form
+
+    def counted(alpha, c):
+        calls.append(1)
+        return matvec(alpha, c)
+
+    monkeypatch.setattr(spectral, "pm_divergence_form", counted)
+    grid = PeriodicGrid(dim, n)
+    rng = np.random.default_rng(dim)
+    w = ScalarField(grid, rng.standard_normal(grid.shape))
+    alpha = rng.uniform(0.1, 1.0, grid.shape)
+    stepper = SemiImplicitStepper(grid, SolverConfig(dt=1e-3))
+    for _ in range(2):
+        calls.clear()
+        w = stepper.advance(w, alpha)
+        assert len(calls) == stepper.last_iterations > 0
+
+
+def test_explicit_scheme_is_the_real_space_update(run_1d):
+    """w + dt div(alpha grad w) per step, to 1e-15, against the complex-FFT
+    operator on nodal values."""
+    grid, geom, S = run_1d
+    cfg = SolverConfig(dt=grid.h**2 / 4.0, scheme="explicit", snapshot_stride=20)
+    w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=9)
+    traj = evolve(grid, geom, P, w0, cfg, n_steps=20, singular_field=S)
+    w = w0.values
+    for _ in range(20):
+        alpha = evo.diffusion_coefficient(grid, P, S, ScalarField(grid, w))
+        apply_a, _ = oracle_real_space_system(grid, alpha, -cfg.dt)
+        w = apply_a(w)
+    assert np.max(np.abs(traj.snapshots[-1][1] - w)) <= 1e-15
 
 
 def test_fd_preconditioner_iterations_at_c09_config():

@@ -191,6 +191,22 @@ def test_ensure_offgrid_1d_checks_faces_as_well_as_nodes():
     assert not shifted2 and again is quarter
 
 
+def test_ensure_offgrid_rechecks_each_shift():
+    """A shift that lands a jump on the lattice is not taken: the next of
+    h/4, h/8 and 3h/8 is, and the warning names it; if all three collide
+    the jump set is rejected."""
+    grid = PeriodicGrid(1, 16)
+    h = grid.h
+    quarter_off = JumpSet1D((-h / 4.0, 0.0), (1.0, 0.0))  # h/4 moves -h/4 onto 0
+    with pytest.warns(UserWarning, match=r"translating by \(h/8\) = 0.015625 "):
+        moved, shifted = ensure_offgrid(quarter_off, grid)
+    assert shifted and moved.positions == (-h / 8.0, h / 8.0)
+
+    stuck = JumpSet1D((-3.0 * h / 8.0, -h / 4.0, -h / 8.0, 0.0), (1.0, 0.0, 1.0, 0.0))
+    with pytest.raises(ConfigError, match="h/4, h/8 and 3h/8"):
+        ensure_offgrid(stuck, grid)
+
+
 def test_ensure_offgrid_shifts_by_quarter_cell():
     grid = PeriodicGrid(1, 256)
     geom = JumpSet1D.symmetric_step()

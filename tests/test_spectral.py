@@ -154,8 +154,9 @@ def test_real_fft_operators_match_complex_fft(dim, n):
         f = ScalarField(grid, values)
         for got, want in zip(sp.gradient(f), ref["grad"](values)):
             close(got.values, want)
-        close(sp.pm_divergence_form(ScalarField(grid, alpha), f).values,
-              ref["pm"](alpha, values))
+        ops = sp.spectral_ops(grid)
+        pm = sp.pm_divergence_form(ScalarField(grid, alpha), ops.forward(values))
+        close(ops.inverse(pm), ref["pm"](alpha, values))
         if dim == 1:
             close(sp.frac_derivative_1d(f, p).values, ref["frac_1d"](values))
         else:
@@ -185,5 +186,23 @@ def test_divergence_form_reduces_to_laplacian():
     u = band_limited(grid, 32, seed=7)
     (k,) = grid.wavenumbers()
     lap = np.real(np.fft.ifft(-((np.pi * k) ** 2) * np.fft.fft(u.values)))
-    pm = sp.pm_divergence_form(ScalarField(grid, np.ones(256)), u)
-    assert np.max(np.abs(pm.values - lap)) < 1e-9
+    ops = sp.spectral_ops(grid)
+    pm = ops.inverse(sp.pm_divergence_form(ScalarField(grid, np.ones(256)), ops.forward(u.values)))
+    assert np.max(np.abs(pm - lap)) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [4, 6, 64])
+def test_parseval_dot_is_n_times_the_real_dot(dim, n):
+    """The CG inner product on rfftn coefficients is the nodal dot product
+    times the node count N, the Nyquist column included."""
+    grid = PeriodicGrid(dim, n)
+    ops = sp.spectral_ops(grid)
+    rng = np.random.default_rng(10 * n + dim)
+    u, v = rng.standard_normal((2, *grid.shape))
+    want = n**dim * float(np.sum(u * v))
+    got = sp.parseval_dot(ops.forward(u), ops.forward(v))
+    assert abs(got - want) <= 1e-12 * n**dim * np.linalg.norm(u) * np.linalg.norm(v)
+    assert sp.parseval_dot(ops.forward(u), ops.forward(u)) == pytest.approx(
+        n**dim * float(np.sum(u * u)), rel=1e-12
+    )
