@@ -181,14 +181,13 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
     alpha_faces = linearop.face_alpha(grid, geom, p)
     indicators = linearop.component_indicators(grid, geom)
     A = linearop.assemble_sparse(grid, alpha_faces)
-    if grid.n**grid.dim <= 4096:
+    if grid.n**grid.dim <= linearop.DENSE_MAX_NODES:
         dense = linearop.assemble(grid, alpha_faces)
         gamma, eigs, r = linearop.spectrum_deflated(dense, indicators)
         mode = "dense"
     else:
         gamma, eigs, r = linearop.spectrum_deflated_iterative(A, indicators)
         mode = "iterative"
-    eig_rows = enumerate(eigs.tolist())
 
     report = {
         "mode": mode,
@@ -201,7 +200,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
         "matrix_norm": linearop.matrix_norm(A),
     }
     fieldio.write_csv(
-        os.path.join(outdir, "eigenvalues.csv"), ("index", "eigenvalue"), eig_rows
+        os.path.join(outdir, "eigenvalues.csv"), ("index", "eigenvalue"), enumerate(eigs.tolist())
     )
     fieldio.write_json(os.path.join(outdir, "spectrum_report.json"), report)
     return 0

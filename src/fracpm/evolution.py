@@ -15,8 +15,8 @@ Default scheme is semi-implicit: alpha frozen at time n, the linear solve
 is symmetric negative semidefinite (spectral derivatives with the odd-
 multiplier Nyquist convention), so I - dt*L is SPD for every dt and CG
 needs no step-size restriction. The divergence multiplier vanishes at
-k = 0, so L w has zero mean and an explicit step keeps the mean of w; the
-CG solve keeps it to its tolerance (its k = 0 coefficient converges too).
+k = 0, so both schemes conserve the mean of w exactly, up to round-off:
+the semi-implicit step copies the k = 0 coefficient of w, not solving it.
 """
 
 from __future__ import annotations
@@ -185,6 +185,7 @@ class SemiImplicitStepper:
             self._fd_solve = False
             sol, iters = _pcg(apply_a, b, self._precond(alpha), tol, maxiter)
             self.last_iterations = maxiter + iters
+        sol.flat[0] = b.flat[0]  # operator and preconditioners are I at k = 0
         return ScalarField(g, ops.inverse(sol))
 
 

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, ExcludedParameterError
 
+MAX_NODES = 2**22  # n**dim ceiling: bounds every per-node array before allocation
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -38,6 +40,8 @@ class PeriodicGrid:
             raise ConfigError(f"dimension must be 1 or 2, got {self.dim}")
         if self.n < 4 or self.n % 2 != 0:
             raise ConfigError(f"grid size must be even and >= 4, got {self.n}")
+        if self.n**self.dim > MAX_NODES:
+            raise ConfigError(f"grid of {self.n}^{self.dim} nodes exceeds the {MAX_NODES} node ceiling")
 
     @property
     def h(self) -> float:

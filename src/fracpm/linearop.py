@@ -20,6 +20,8 @@ from .errors import ConfigError, LinearAlgebraError
 from .grid import FracParams, PeriodicGrid, ScalarField
 from .spectral import alpha_from_fracfield, gradient
 
+DENSE_MAX_NODES = 4096  # largest n**dim assembled dense (a 128 MB matrix)
+
 
 def face_alpha(grid: PeriodicGrid, geom, p: FracParams) -> np.ndarray:
     """Oracle diffusion coefficient at face midpoints, shape (dim, *grid.shape).
@@ -37,10 +39,8 @@ def face_alpha(grid: PeriodicGrid, geom, p: FracParams) -> np.ndarray:
 
 def assemble(grid: PeriodicGrid, alpha_faces) -> np.ndarray:
     """Dense view of assemble_sparse, for the full eigensolve."""
-    if grid.dim == 2 and grid.n > 80:
-        raise ConfigError(
-            "dense 2D assembly is limited to n <= 80 (matrix is n^2 x n^2)"
-        )
+    if grid.n**grid.dim > DENSE_MAX_NODES:
+        raise ConfigError(f"dense assembly is limited to n**dim <= {DENSE_MAX_NODES} nodes")
     return assemble_sparse(grid, alpha_faces).toarray()
 
 
@@ -160,14 +160,12 @@ def assemble_sparse(grid: PeriodicGrid, alpha_faces):
 
 
 def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
-    """Bottom deflated eigenvalues by shifted inverse iteration.
-
-    For grids too large for a dense eigh. Indicator directions are pushed
-    far up the spectrum with a rank-r penalty c*QQ^T rather than projected
-    out, which keeps the operator cheap to apply; the shifted inverse
-    (M + I)^{-1} is a sparse LU of A + I plus a Woodbury correction for
-    the penalty. ARPACK starts from a seeded vector, so reruns agree bit
-    for bit. Returns (gamma, bottom_eigenvalues, deflation_dim).
+    """Bottom eigenvalues of P A P, the operator of `spectrum_deflated`, by
+    shift-invert on range(P). (P A P + I)^{-1} there is the solve of
+    (A + I) y = b with Q^T y = 0: a sparse LU of A + I and a rank-r Schur
+    correction. ARPACK (mode 3 applies only this inverse) iterates in
+    range(P) from a seeded vector, so reruns agree bit for bit. Returns
+    (gamma, bottom_eigenvalues, deflation_dim).
     """
     from scipy.sparse import eye as speye
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
@@ -175,24 +173,22 @@ def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
     Q = deflation_basis(indicators)
     r = Q.shape[1]
     n = A_sparse.shape[0]
-    c = float(np.max(np.abs(A_sparse).sum(axis=1)))
     lu = splu((A_sparse + speye(n, format="csr")).tocsc())
     W = lu.solve(Q)
-    S = np.eye(r) / c + Q.T @ W
+    S = Q.T @ W
 
-    def apply_m(x):
-        return A_sparse @ x + c * (Q @ (Q.T @ x))
+    def project(x):
+        return x - Q @ (Q.T @ x)
 
     def apply_inv(b):
-        y0 = lu.solve(b)
-        return y0 - W @ np.linalg.solve(S, Q.T @ y0)
+        y0 = lu.solve(project(b))
+        return project(y0 - W @ np.linalg.solve(S, Q.T @ y0))
 
-    m_op = LinearOperator((n, n), matvec=apply_m, dtype=float)
     inv_op = LinearOperator((n, n), matvec=apply_inv, dtype=float)
     try:
         vals = eigsh(
-            m_op, k=k, sigma=-1.0, which="LM", OPinv=inv_op,
-            v0=np.random.default_rng(0).standard_normal(n),
+            A_sparse, k=k, sigma=-1.0, which="LM", OPinv=inv_op,
+            v0=project(np.random.default_rng(0).standard_normal(n)),
             return_eigenvectors=False,
         )
     except Exception as exc:  # ArpackNoConvergence and friends

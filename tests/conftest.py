@@ -9,6 +9,7 @@ real warnings in the test output.
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -18,6 +19,12 @@ import fracpm
 from fracpm.curves import Circle
 from fracpm.geometry import JumpSet1D, JumpSet2D, ensure_offgrid
 from fracpm.grid import FracParams, PeriodicGrid
+
+# Hypothesis caches the literals of the code under test in its storage
+# directory even with database=None; keep that cache out of the checkout.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "fracpm-hypothesis")
+)
 
 
 def child_peak_mb(code: str) -> float:

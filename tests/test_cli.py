@@ -5,6 +5,7 @@ the artifacts a user would actually look at.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -270,6 +271,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert main(["fracfield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "grid.spacing" in err
+
+
+@pytest.mark.parametrize("command", ("fracfield", "evolve", "spectrum"))
+def test_grid_above_the_node_ceiling_exits_2_at_once(tmp_path, capsys, command):
+    """10^10 nodes would exhaust memory; the grid is refused before any
+    per-node array exists."""
+    cfg = write_cfg(tmp_path, BASE_2D.replace("grid.n = 16", "grid.n = 100000"))
+    start = time.perf_counter()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "node ceiling" in capsys.readouterr().err
 
 
 def test_missing_config_flag_exits_2(capsys):

@@ -408,3 +408,26 @@ def test_decay_rate_fit_recovers_exponential():
     rate, r2 = decay_rate_fit(t, 7e-4 * np.exp(-3.7 * t))
     assert abs(rate - 3.7) < 1e-10
     assert r2 > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 64)])
+def test_semi_implicit_step_conserves_the_mean_exactly(dim, n):
+    """The k = 0 coefficient is copied, not solved for: sum(w) is kept to
+    round-off, and CG runs the iterations it ran before the copy."""
+    grid = PeriodicGrid(dim, n)
+    rng = np.random.default_rng(11)
+    w = ScalarField(grid, rng.standard_normal(grid.shape))
+    alpha = rng.uniform(0.05, 1.0, grid.shape)
+    cfg = SolverConfig(dt=2e-3)
+    stepper = SemiImplicitStepper(grid, cfg)
+    got = stepper.advance(w, alpha).values
+    assert abs(np.sum(got) - np.sum(w.values)) <= 1e-14 * np.sum(np.abs(w.values))
+
+    ops = spectral.spectral_ops(grid)
+    field = ScalarField(grid, alpha)
+    _, iters = evo._pcg(
+        lambda c: c - cfg.dt * spectral.pm_divergence_form(field, c),
+        ops.forward(w.values), SemiImplicitStepper(grid, cfg)._precond(alpha),
+        cfg.tolerance, cfg.max_linear_iter,
+    )
+    assert stepper.last_iterations == iters > 10

@@ -51,7 +51,7 @@ def test_weight_profile_blend_is_c3():
     assert abs(right[2]) < 1e-5 and abs(right[3]) < 1e-3
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(delta=st.floats(0.02, 0.4))
 def test_weight_profile_monotone(delta):
     d = np.linspace(0.0, 3.0 * delta, 400)

@@ -79,6 +79,13 @@ def test_bad_grid_size_rejected_at_build():
         cfg.build_grid()
 
 
+def test_grid_node_ceiling():
+    assert parse_config_text(MINIMAL + f"grid.n = {2**22}\n").build_grid().n == 2**22
+    cfg = parse_config_text("dimension = 2\nepsilon = 0.7\ngrid.n = 2050\n")
+    with pytest.raises(ConfigError, match="node ceiling"):
+        cfg.build_grid()
+
+
 def test_excluded_epsilon_surfaces_at_build():
     cfg = parse_config_text("dimension = 1\nepsilon = 0.5\n")
     cfg.build_params()  # fine when the caller tolerates the excluded value
