@@ -107,6 +107,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, outdir: str, seed: int | None) -> int:
+    cfg.solver.validate(cfg.build_grid())  # work ceilings, before any allocation
     grid, geom = _prepared(cfg)
     p = cfg.build_params()
     use_seed = cfg.seed if seed is None else seed

@@ -14,9 +14,11 @@ Default scheme is semi-implicit: alpha frozen at time n, the linear solve
 (I - dt * div(alpha grad)) w+ = w done by preconditioned CG. The operator
 is symmetric negative semidefinite (spectral derivatives with the odd-
 multiplier Nyquist convention), so I - dt*L is SPD for every dt and CG
-needs no step-size restriction. The divergence multiplier vanishes at
-k = 0, so both schemes conserve the mean of w exactly, up to round-off:
-the semi-implicit step copies the k = 0 coefficient of w, not solving it.
+needs no step-size restriction. w is smooth in time for t > 0, so CG
+starts from an extrapolation of the previous steps. The divergence
+multiplier vanishes at k = 0, so both schemes conserve the mean of w
+exactly, up to round-off: the semi-implicit step copies the k = 0
+coefficient of w, not solving it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .oracles import step_field
 from . import linearop, spectral
 
 
+MAX_STEPS = 10**6  # round(t_final / dt) ceiling
+MAX_SNAPSHOT_FLOATS = 2**27  # 1 GiB of float64 snapshots held by one run
+
+
 @dataclass
 class SolverConfig:
     dt: float = 1e-4
@@ -47,6 +53,8 @@ class SolverConfig:
     def validate_static(self):
         if not (0 < self.dt < np.inf and 0 < self.t_final < np.inf):
             raise ConfigError("dt and t_final must be finite and positive")
+        if self.t_final / self.dt > MAX_STEPS + 0.5:  # round(t_final / dt) > MAX_STEPS
+            raise ConfigError(f"t_final / dt exceeds the {MAX_STEPS} step ceiling")
         if not (0.0 < self.tolerance <= 1e-6):
             raise ConfigError("linear-solve tolerance must lie in (0, 1e-6]")
         if self.max_linear_iter < 1 or self.snapshot_stride < 1:
@@ -56,6 +64,9 @@ class SolverConfig:
 
     def validate(self, grid: PeriodicGrid):
         self.validate_static()
+        floats = (round(self.t_final / self.dt) // self.snapshot_stride + 1) * grid.n**grid.dim
+        if floats > MAX_SNAPSHOT_FLOATS:
+            raise ConfigError(f"{floats} snapshot values exceed the {MAX_SNAPSHOT_FLOATS} ceiling")
         if self.scheme == "explicit":
             bound = grid.h**2 / (2.0 * grid.dim)
             if self.dt > bound:
@@ -105,15 +116,24 @@ def diffusion_coefficient(grid, p, S, w: ScalarField) -> np.ndarray:
     return spectral.alpha_from_fracfield(S + frac(w, p).values)
 
 
-def _pcg(apply_a, b, precond, tol, maxiter):
+def _pcg(apply_a, b, precond, tol, maxiter, x0=None):
     """Preconditioned CG on rfftn coefficients. Every inner product is
-    `spectral.parseval_dot`, so ||r|| <= tol ||b|| is the real 2-norm rule."""
+    `spectral.parseval_dot`, so ||r|| <= tol ||b|| is the real 2-norm rule.
+    A guess x0 is the start only if its residual is below ||b||. Returns
+    the solution and the matvec count, x0's residual included."""
     dot = spectral.parseval_dot
     x = np.zeros_like(b)
     r = b.copy()
     norm_b = math.sqrt(dot(b, b))
     if norm_b == 0.0:
         return x, 0
+    if x0 is not None:
+        r0 = b - apply_a(x0)
+        norm_r0 = math.sqrt(dot(r0, r0))
+        if norm_r0 < norm_b:
+            x, r = x0.copy(), r0
+            if norm_r0 <= tol * norm_b:
+                return x, 1
     z = precond(r)
     pdir = z.copy()
     rz = dot(r, z)
@@ -123,7 +143,7 @@ def _pcg(apply_a, b, precond, tol, maxiter):
         x += alpha * pdir
         r -= alpha * ap
         if math.sqrt(dot(r, r)) <= tol * norm_b:
-            return x, it
+            return x, it + (x0 is not None)
         z = precond(r)
         rz_new = dot(r, z)
         pdir = z + (rz_new / rz) * pdir
@@ -146,13 +166,17 @@ class SemiImplicitStepper:
     accuracy. If CG fails with it (alpha rough at the grid scale, where A_fd
     weighs the Nyquist modes the spectral operator annihilates), the step
     and the rest of the run use the diagonal solve.
+
+    CG starts from sum_j (-1)^j C(q+1, j+1) b_(n-j), the order-q extrapolation
+    through this input and the last q <= 4; a fresh stepper starts cold.
     """
 
     def __init__(self, grid: PeriodicGrid, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
-        self.last_iterations = 0  # CG iterations of the last advance, failures included
+        self.last_iterations = 0  # matvecs of the last advance, failures included
         self._fd_solve = None  # False once CG has failed with it
+        self._history = []  # rfftn of the last four inputs w, newest first
 
     def _precond(self, alpha: np.ndarray):
         g, dt = self.grid, self.cfg.dt
@@ -177,14 +201,19 @@ class SemiImplicitStepper:
         def apply_a(c):
             return c - dt * spectral.pm_divergence_form(alpha_field, c)
 
+        pts = [b, *self._history]  # newest first
+        self._history, q = pts[:4], len(pts) - 1
+        x0 = None  # order-q extrapolation through the q + 1 inputs, never of b = 0
+        if q and b.any():
+            x0 = sum((-1) ** j * math.comb(q + 1, j + 1) * c for j, c in enumerate(pts))
         try:
-            sol, self.last_iterations = _pcg(apply_a, b, self._precond(alpha), tol, maxiter)
+            sol, self.last_iterations = _pcg(apply_a, b, self._precond(alpha), tol, maxiter, x0)
         except LinearAlgebraError:
             if not self._fd_solve:  # 2D, or 1D already on the diagonal solve
                 raise
             self._fd_solve = False
-            sol, iters = _pcg(apply_a, b, self._precond(alpha), tol, maxiter)
-            self.last_iterations = maxiter + iters
+            sol, iters = _pcg(apply_a, b, self._precond(alpha), tol, maxiter, x0)
+            self.last_iterations = maxiter + (x0 is not None) + iters
         sol.flat[0] = b.flat[0]  # operator and preconditioners are I at k = 0
         return ScalarField(g, ops.inverse(sol))
 

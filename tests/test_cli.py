@@ -284,6 +284,28 @@ def test_grid_above_the_node_ceiling_exits_2_at_once(tmp_path, capsys, command):
     assert "node ceiling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        (BASE_1D + "solver.t_final = 10\nsolver.dt = 1e-6\n", "step ceiling"),
+        (
+            BASE_2D.replace("grid.n = 16", "grid.n = 2048")
+            + "solver.t_final = 0.1\nsolver.snapshot_stride = 1\n",
+            "snapshot values",
+        ),
+    ],
+    ids=("steps", "snapshots"),
+)
+def test_evolve_above_the_work_ceilings_exits_2_at_once(tmp_path, capsys, text, named):
+    """10^7 steps, or 1001 snapshots of 2048^2 nodes (34 GB), are refused
+    before the singular field or any snapshot is computed."""
+    cfg = write_cfg(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert named in capsys.readouterr().err
+
+
 def test_missing_config_flag_exits_2(capsys):
     assert main(["fracfield"]) == 2
     assert "requires --config" in capsys.readouterr().err

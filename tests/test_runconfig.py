@@ -155,3 +155,27 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(str(path))
     assert cfg.seed == 7 and cfg.output == "results"
     assert cfg == parse_config_text(path.read_text())
+
+
+def test_stepping_work_ceilings(tmp_path):
+    """round(t_final / dt) <= 10**6 is checked at parse. The snapshot store,
+    (steps // stride + 1) * n**dim <= 2**27 floats, needs the grid, so
+    `SolverConfig.validate` checks it; `fracpm evolve` calls that first."""
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL + "solver.t_final = 10\nsolver.dt = 1e-6\n")
+    with pytest.raises(ConfigError, match="step ceiling"):
+        load_config(str(path))
+    at_ceiling = parse_config_text(
+        MINIMAL + "solver.t_final = 100\nsolver.dt = 1e-4\nsolver.snapshot_stride = 1000\n"
+    )
+    at_ceiling.solver.validate(at_ceiling.build_grid())
+
+    path.write_text(
+        "dimension = 2\nepsilon = 0.7\ngrid.n = 2048\n"
+        "solver.t_final = 0.1\nsolver.dt = 1e-4\nsolver.snapshot_stride = 1\n"
+    )
+    cfg = load_config(str(path))
+    with pytest.raises(ConfigError, match="snapshot"):
+        cfg.solver.validate(cfg.build_grid())
+    cfg.solver.snapshot_stride = 1000  # two snapshots of 2048^2 fit
+    cfg.solver.validate(cfg.build_grid())
