@@ -23,7 +23,7 @@ import numpy as np
 from . import fieldio, oracles, verify
 from .errors import BlowUpError, ConfigError, FracpmError
 from .evolution import evolve, initial_perturbation, precompute_singular_field
-from .geometry import ensure_offgrid, exponent_fit, power_constant_fit, probe_distances
+from .geometry import ensure_offgrid, exponent_fit, probe_distances
 from .grid import ScalarField
 from .runconfig import RunConfig, load_config
 from .spectral import alpha_from_fracfield
@@ -82,20 +82,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     report = {"epsilon": p.epsilon, "dimension": cfg.dimension, "fits": fits}
 
     if cfg.sign_check:
-        # alpha ~ d^gamma, gamma = -2 s with s the leading power of |F|, so
-        # alpha'' leads with sign(gamma (gamma - 1)); the pointwise value is
-        # only reported: its subleading term can dominate (see C05)
-        gamma = -2.0 * power_constant_fit(d, field_vals)[0]
-        d_sign = probe_distances(max(cfg.probes_d_min, 1e-3), 1e-2, 8)
-        pts_sign = geom.outward_point(d_sign, angle=cfg.probes_angle)
-        _, second = oracles.alpha_H_and_derivatives(geom, p, pts_sign)
-        want = float(np.sign(1.0 - 2.0 * p.epsilon))
-        report["sign_check"] = {
-            "expected_sign": want,
-            "gamma": gamma,
-            "min_signed_value": float(np.min(want * second)),
-            "all_correct": bool(np.sign(gamma * (gamma - 1.0)) == want),
-        }
+        report["sign_check"] = oracles.concavity(geom, p, d, field_vals, cfg.probes_angle)
 
     fieldio.write_csv(
         os.path.join(outdir, "probes.csv"),

@@ -297,6 +297,8 @@ def initial_perturbation(
     elif kind == "mode":
         vals = math.prod(np.sin(np.pi * x) for x in nodes)
     elif kind == "noise":
+        if seed < 0:
+            raise ConfigError(f"seed: noise needs a non-negative seed, got {seed}")
         rng = np.random.default_rng(seed)
         white = rng.standard_normal(grid.shape)
         c = np.fft.fftn(white)
@@ -310,23 +312,3 @@ def initial_perturbation(
     if peak > 0:
         vals = vals * (amplitude / peak)
     return ScalarField(grid, vals)
-
-
-def decay_rate_fit(times, norms, skip_fraction: float = 0.5):
-    """Exponential decay rate of a norm history (positive = decaying).
-
-    Fits log(norm) against t on the tail of the run; returns (rate, r2).
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(norms, dtype=float)
-    keep = y > 0
-    t, y = t[keep], y[keep]
-    start = int(len(t) * skip_fraction)
-    t, y = t[start:], np.log(y[start:])
-    if len(t) < 4:
-        raise ValueError("not enough samples for a decay fit")
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
-    ss = np.sum((y - y.mean()) ** 2)
-    r2 = 1.0 - float(np.sum(resid**2) / ss) if ss > 0 else 1.0
-    return -float(slope), r2

@@ -16,7 +16,8 @@ one array per axis:
   is unused in 1D).
 
 This module also owns the dimension-agnostic pieces: the node/face
-collision shift, the weight profile and the exponent fits.
+collision shift, the weight profile and every asymptotic fit (log-log
+slope, power plus constant, exponential decay rate), all numpy only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, ExcludedParameterError
 from .grid import PeriodicGrid
@@ -218,8 +218,8 @@ def probe_distances(d_min: float, d_max: float, count: int) -> np.ndarray:
     return np.geomspace(d_min, d_max, count)
 
 
-def _fit_samples(d, values, d_min, d_max, what):
-    """Finite, nonzero samples inside [d_min, d_max] as (d, |values|).
+def _fit_samples(d, values, what):
+    """Finite, nonzero samples as (d, |values|).
 
     Raises ExcludedParameterError unless at least 8 samples remain and they
     span at least two decades: a narrower fit is meaningless for the
@@ -228,10 +228,6 @@ def _fit_samples(d, values, d_min, d_max, what):
     d = np.asarray(d, dtype=float)
     y = np.asarray(values, dtype=float)
     keep = np.isfinite(y) & (np.abs(y) > 0) & (d > 0)
-    if d_min is not None:
-        keep &= d >= d_min * (1.0 - 1e-12)
-    if d_max is not None:
-        keep &= d <= d_max * (1.0 + 1e-12)
     d, y = d[keep], np.abs(y[keep])
     if d.size < 8:
         raise ExcludedParameterError(
@@ -245,19 +241,37 @@ def _fit_samples(d, values, d_min, d_max, what):
     return d, y
 
 
-def exponent_fit(d, values, d_min=None, d_max=None):
+def _line_fit(x, y):
+    """Least-squares slope of y against x, and the r^2 of that line."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = np.sum((y - y.mean()) ** 2)
+    r2 = 1.0 - float(np.sum(resid**2) / ss_tot) if ss_tot > 0 else 1.0
+    return float(slope), r2
+
+
+def exponent_fit(d, values):
     """Least-squares slope of log|values| against log d.
 
     Returns (slope, r_squared, n_used). Requires at least 8 retained samples
     spanning at least two decades, else ExcludedParameterError.
     """
-    d, y = _fit_samples(d, values, d_min, d_max, "exponent fit")
-    lx, ly = np.log(d), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = np.sum((ly - ly.mean()) ** 2)
-    r2 = 1.0 - float(np.sum(resid**2) / ss_tot) if ss_tot > 0 else 1.0
-    return float(slope), r2, int(d.size)
+    d, y = _fit_samples(d, values, "exponent fit")
+    slope, r2 = _line_fit(np.log(d), np.log(y))
+    return slope, r2, int(d.size)
+
+
+def decay_rate_fit(times, norms):
+    """Exponential decay rate of a norm history (positive = decaying): the
+    line fit of log(norm) against t over every positive sample. Returns
+    (rate, r2)."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(norms, dtype=float)
+    keep = y > 0
+    if np.count_nonzero(keep) < 4:
+        raise ValueError("not enough samples for a decay fit")
+    slope, r2 = _line_fit(t[keep], np.log(y[keep]))
+    return -slope, r2
 
 
 def power_constant_fit(d, values):
@@ -268,14 +282,15 @@ def power_constant_fit(d, values):
     the constant and returns the leading exponent itself. Variable
     projection: for each s the pair (a, c) is the linear least-squares
     solution in relative residuals (each sample weighted by 1/|value|), and
-    s minimises that residual, first on a 0.05 grid over [-3, 3] and then by
-    bounded Brent refinement within one grid step of the best node.
+    s minimises that residual, first on a 0.05 grid over [-3, 3] and then
+    on nested grids of 21 nodes spanning one spacing either side of the
+    best node, 10x finer per pass, until the spacing is below 1e-10.
 
     Returns (slope, amplitude, constant, rel_rms, n_used), rel_rms being the
     root-mean-square relative residual. The sample guards are those of
     exponent_fit.
     """
-    d, y = _fit_samples(d, values, None, None, "power-plus-constant fit")
+    d, y = _fit_samples(d, values, "power-plus-constant fit")
     d_ref = np.sqrt(d.min() * d.max())  # keeps the d^s column well scaled
     x = d / d_ref
     ones = np.ones_like(y)
@@ -286,16 +301,11 @@ def power_constant_fit(d, values):
         resid = basis @ coef - ones
         return coef, float(resid @ resid)
 
-    lo, hi, step = -3.0, 3.0, 0.05
-    nodes = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
-    best = int(np.argmin([solve(s)[1] for s in nodes]))
-    res = minimize_scalar(
-        lambda s: solve(s)[1],
-        bounds=(max(lo, nodes[best] - step), min(hi, nodes[best] + step)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    s = float(res.x)
+    step, nodes = 0.05, np.linspace(-3.0, 3.0, 121)
+    while step > 1e-11:  # passes at spacings 0.05, 0.005, ..., 5e-11
+        s = float(nodes[np.argmin([solve(t)[1] for t in nodes])])
+        step /= 10.0
+        nodes = np.clip(s + step * np.arange(-10, 11), -3.0, 3.0)
     (a_ref, c), ssr = solve(s)
     return (
         s,

@@ -11,10 +11,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import beta as beta_fn
 
-from .geometry import JumpSet1D
+from .geometry import JumpSet1D, power_constant_fit, probe_distances
 from .grid import FracParams
 from .kernel import ClausenEvaluator
 from .spectral import alpha_from_fracfield
+
+SIGN_WINDOW = (1e-3, 1e-2)  # distances where `concavity` differences alpha
 
 
 def fracH_1d(geom: JumpSet1D, p: FracParams, x) -> np.ndarray:
@@ -90,6 +92,25 @@ def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 6
         step = h[..., None] * e
         pairs = pairs + alpha_at(x + step) + alpha_at(x - step)
     return alpha, (pairs - 2.0 * x.shape[-1] * alpha) / (h * h)
+
+
+def concavity(geom, p: FracParams, d, field_abs, angle: float = 0.0) -> dict:
+    """The concavity sign of alpha = 1/(1 + F^2), from |F| = field_abs at
+    distances d along angle. alpha ~ d^gamma, gamma = -2 s with s the leading
+    power of |F| = a d^s + c + o(1), so alpha'' leads with sign(gamma
+    (gamma - 1)); all_correct says it equals sign(1 - 2 eps). The second
+    differences on SIGN_WINDOW (cut below at min d) are only reported, as
+    min_signed_value: their subleading term can dominate."""
+    gamma = -2.0 * power_constant_fit(d, field_abs)[0]
+    d_sign = probe_distances(max(float(np.min(d)), SIGN_WINDOW[0]), SIGN_WINDOW[1], 8)
+    _, second = alpha_H_and_derivatives(geom, p, geom.outward_point(d_sign, angle=angle))
+    want = float(np.sign(1.0 - 2.0 * p.epsilon))
+    return {
+        "expected_sign": want,
+        "gamma": gamma,
+        "min_signed_value": float(np.min(want * second)),
+        "all_correct": bool(np.sign(gamma * (gamma - 1.0)) == want),
+    }
 
 
 def beta_condition(p: FracParams, method: str = "beta") -> float:

@@ -24,6 +24,10 @@ import numpy as np
 from .errors import ConfigError
 from .evolution import SolverConfig
 from .grid import FracParams, PeriodicGrid
+from .oracles import SIGN_WINDOW
+
+
+MAX_PROBES = 4096  # probes.count ceiling
 
 
 def _as_int(key, raw):
@@ -119,6 +123,13 @@ class RunConfig:
             raise ConfigError("geometry.center needs two numbers")
         if not (0 < self.probes_d_min < self.probes_d_max):
             raise ConfigError("probe window must satisfy 0 < d_min < d_max")
+        if not (1 <= self.probes_count <= MAX_PROBES):
+            raise ConfigError(f"probes.count must lie in [1, {MAX_PROBES}]")
+        if self.sign_check and self.probes_d_min >= SIGN_WINDOW[1]:
+            raise ConfigError(
+                f"probes.sign_check needs probes.d_min < {SIGN_WINDOW[1]:g}, the top"
+                " of its second-difference window"
+            )
         self.solver.validate_static()
 
     # -- builders ---------------------------------------------------------

@@ -17,7 +17,6 @@ from . import kernel, oracles, spectral
 from .curves import Circle, EwaldStepField2D, lattice_field_2d
 from .evolution import (
     SolverConfig,
-    decay_rate_fit,
     evolve,
     initial_perturbation,
     precompute_singular_field,
@@ -25,6 +24,7 @@ from .evolution import (
 from .geometry import (
     JumpSet1D,
     JumpSet2D,
+    decay_rate_fit,
     ensure_offgrid,
     exponent_fit,
     power_constant_fit,
@@ -227,8 +227,9 @@ def criterion_05():
 
     Slope legs (eps = 0.3, d in [1e-5, 1e-3]): the log-log slope of alpha
     is within c05_slope_tol of 2 - 2 eps in 1D and 2D. Sign legs (eps = 0.3,
-    0.45, 0.55, 0.7, 1D and 2D): the leading exponent gamma of alpha, from
-    the power-plus-constant fit of |F| on d in [1e-4, 1e-2], must be within
+    0.45, 0.55, 0.7, 1D and 2D) apply `oracles.concavity`, the rule behind
+    fracfield's sign_check: the leading exponent gamma of alpha, from the
+    power-plus-constant fit of |F| on d in [1e-4, 1e-2], must be within
     c05_slope_tol of 2 - 2 eps, and gamma (gamma - 1), the sign of the
     leading term of alpha'', must equal sign(1 - 2 eps). The pointwise
     finite-difference second derivative on d in [1e-3, 1e-2] (1D) and the
@@ -239,7 +240,6 @@ def criterion_05():
     slopes, signs = {}, {}
     d = probe_distances(1e-5, 1e-3, 32)
     d_fit = probe_distances(1e-4, 1e-2, 32)
-    d_sign = probe_distances(1e-3, 1e-2, 8)
     for dim, g in (
         ("1d", JumpSet1D.symmetric_step()),
         ("2d", JumpSet2D(Circle((0.0, 0.0), 0.5))),
@@ -255,30 +255,26 @@ def criterion_05():
         # sign legs: the concavity sign of the leading term of alpha
         for eps in (0.3, 0.45, 0.55, 0.7):
             pe = FracParams(eps)
-            want = np.sign(1.0 - 2.0 * eps)
-            # alpha = 1/(1 + F^2): alpha ~ d^gamma with gamma = -2 s, s the
-            # leading power of |F| = sqrt(1/alpha - 1) = a d^s + c + o(1)
-            alpha = oracles.alpha_H(g, pe, g.outward_point(d_fit, angle=0.37))
-            gamma = -2.0 * power_constant_fit(d_fit, np.sqrt(1.0 / alpha - 1.0))[0]
-            pure_slope, _, _ = exponent_fit(d_fit, alpha)
-            pts = g.outward_point(d_sign, angle=0.37)
-            _, second = oracles.alpha_H_and_derivatives(g, pe, pts)
+            field = np.abs(oracles.step_field(g, pe)(g.outward_point(d_fit, angle=0.37)))
+            alpha = spectral.alpha_from_fracfield(field)
+            sign = oracles.concavity(g, pe, d_fit, field, angle=0.37)
+            gamma = sign["gamma"]
             leg_ok = bool(
-                np.sign(gamma * (gamma - 1.0)) == want
+                sign["all_correct"]
                 and abs(gamma - (2.0 - 2.0 * eps)) <= TOLERANCES["c05_slope_tol"]
             )
             ok &= leg_ok
             signs.setdefault(f"eps={eps}", {}).update({
                 f"ok_{dim}": leg_ok,
                 f"gamma_{dim}": gamma,
-                f"pure_slope_{dim}": pure_slope,
-                f"min_signed_{dim}": float(np.min(want * second)),
+                f"pure_slope_{dim}": exponent_fit(d_fit, alpha)[0],
+                f"min_signed_{dim}": sign["min_signed_value"],
             })
     return bool(ok), {
         **slopes,
         "slope_window": [1e-5, 1e-3],
         "sign_fit_window": [1e-4, 1e-2],
-        "sign_window": [1e-3, 1e-2],
+        "sign_window": list(oracles.SIGN_WINDOW),
         "sign_legs": signs,
     }
 
@@ -383,7 +379,7 @@ def criterion_09():
         [np.linalg.norm(w - Q @ (Q.T @ w)) * np.sqrt(grid.h) for _, w in traj.snapshots]
     )
     window = (norms < 0.1 * norms[0]) & (norms > 1e-3 * norms[0])
-    rate, r2 = decay_rate_fit(ts[window], norms[window], skip_fraction=0.0)
+    rate, r2 = decay_rate_fit(ts[window], norms[window])
     rel = abs(rate - gam) / gam
     passed = rel <= TOLERANCES["c09_rate_vs_gamma"]
     return bool(passed), {

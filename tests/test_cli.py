@@ -118,6 +118,17 @@ def test_evolve_seed_flag_overrides_config(tmp_path):
     assert report["seed"] == 11
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [("seed = -1\n", []), ("", ["--seed", "-1"])],
+    ids=("config", "flag"),
+)
+def test_negative_noise_seed_exits_2(tmp_path, capsys, text, argv):
+    cfg = write_cfg(tmp_path, BASE_1D + "perturbation.kind = noise\n" + text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), *argv]) == 2
+    assert "non-negative seed" in capsys.readouterr().err
+
+
 def test_spectrum_report(tmp_path):
     cfg = write_cfg(tmp_path, BASE_1D)
     out = tmp_path / "out"
@@ -246,6 +257,20 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     child_peak_mb("import sys, fracpm.cli\nassert 'scipy.integrate' not in sys.modules\n")
 
 
+def test_cli_import_loads_no_fit_or_quadrature_modules():
+    """Start-up import guard: every process pays its module-level imports
+    in set-up time and peak memory. The fits are numpy only, and scipy's
+    optimizer, spatial, quadrature and interpolation packages, and mpmath,
+    serve only configs and checks that import them where they are used."""
+    child_peak_mb(
+        "import sys, fracpm.cli\n"
+        "mods = ('scipy.optimize', 'scipy.spatial', 'scipy.integrate',"
+        " 'scipy.interpolate', 'mpmath')\n"
+        "loaded = [m for m in mods if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, text, named",
     [
@@ -309,6 +334,35 @@ def test_evolve_above_the_work_ceilings_exits_2_at_once(tmp_path, capsys, text, 
 def test_missing_config_flag_exits_2(capsys):
     assert main(["fracfield"]) == 2
     assert "requires --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "10000000000"])
+def test_probe_count_outside_its_range_exits_2_at_once(tmp_path, capsys, count):
+    cfg = write_cfg(tmp_path, BASE_2D + f"probes.count = {count}\n")
+    start = time.perf_counter()
+    assert main(["fracfield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "probes.count must lie in [1, 4096]" in capsys.readouterr().err
+
+
+def test_probe_count_below_eight_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_1D + "probes.count = 7\n")
+    assert main(["fracfield", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "needs >= 8 usable samples" in capsys.readouterr().err
+
+
+def test_sign_check_above_its_difference_window_exits_2_before_writing(tmp_path, capsys):
+    """[0.02, 3] is a valid two-decade probe window, but it leaves the sign
+    check's second differences on [max(d_min, 1e-3), 1e-2] empty."""
+    cfg = write_cfg(
+        tmp_path,
+        BASE_1D + "probes.d_min = 0.02\nprobes.d_max = 3.0\nprobes.sign_check = true\n",
+    )
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["fracfield", "--config", cfg, "--out", str(out)]) == 2
+    assert "probes.sign_check needs probes.d_min < 0.01" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_excluded_epsilon_exits_3(tmp_path):

@@ -6,13 +6,12 @@ from fracpm.errors import BlowUpError, ConfigError, LinearAlgebraError
 from fracpm.evolution import (
     SemiImplicitStepper,
     SolverConfig,
-    decay_rate_fit,
     evolve,
     initial_perturbation,
     precompute_singular_field,
 )
 from fracpm.curves import Circle
-from fracpm.geometry import JumpSet1D, JumpSet2D
+from fracpm.geometry import JumpSet1D, JumpSet2D, decay_rate_fit
 from fracpm.grid import FracParams, PeriodicGrid, ScalarField
 from fracpm import spectral
 from fracpm.spectral import dft_forward
@@ -387,6 +386,16 @@ def test_perturbation_kinds(run_1d):
 
     with pytest.raises(ConfigError):
         initial_perturbation(grid, geom, kind="sawtooth")
+
+
+def test_noise_rejects_a_negative_seed(run_1d):
+    """numpy refuses negative seeds with a ValueError; the noise kind turns
+    that into a ConfigError, and kinds that ignore the seed accept any."""
+    grid, geom, _ = run_1d
+    with pytest.raises(ConfigError, match="seed"):
+        initial_perturbation(grid, geom, kind="noise", seed=-1)
+    sine = initial_perturbation(grid, geom, kind="sine", seed=-1).values
+    assert np.array_equal(sine, initial_perturbation(grid, geom, kind="sine").values)
 
 
 def test_taper_multiplies_by_distance_weight(run_1d):

@@ -96,7 +96,14 @@ def test_exponent_fit_requires_two_decades():
 
 
 @pytest.mark.parametrize(
-    "a,s,c", [(3.7, -0.42, -2.5), (0.26, -0.7, -0.34), (8.4, -0.1, -8.75), (0.8, 1.4, 0.01)]
+    "a,s,c",
+    [
+        (3.7, -0.42, -2.5),
+        (0.26, -0.7, -0.34),
+        (8.4, -0.1, -8.75),
+        (0.8, 1.4, 0.01),
+        (1.3, -2.9, 0.4),
+    ],
 )
 def test_power_constant_fit_recovers_power_plus_constant(a, s, c):
     d = probe_distances(1e-4, 1e-2, 32)

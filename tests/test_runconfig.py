@@ -144,6 +144,28 @@ def test_probe_window_ordering_enforced():
     assert cfg.probe_window() == (1e-3, 5e-3, cfg.probes_count)
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "4097", "10000000000"])
+def test_probe_count_outside_its_range_rejected(count):
+    """np.geomspace would raise on a negative count and allocate 80 GB for
+    10^10 probes; both are refused at parse."""
+    with pytest.raises(ConfigError, match=r"probes\.count must lie in \[1, 4096\]"):
+        parse_config_text(MINIMAL + f"probes.count = {count}\n")
+
+
+@pytest.mark.parametrize("count", [1, 4096])
+def test_probe_count_range_ends_accepted(count):
+    assert parse_config_text(MINIMAL + f"probes.count = {count}\n").probes_count == count
+
+
+def test_sign_check_needs_d_min_below_its_difference_window():
+    """A valid two-decade window above 1e-2 leaves the sign check's second
+    differences on [max(d_min, 1e-3), 1e-2] nothing to sample."""
+    window = "probes.d_min = 0.02\nprobes.d_max = 3.0\n"
+    assert parse_config_text(MINIMAL + window).probes_d_min == 0.02
+    with pytest.raises(ConfigError, match=r"probes\.sign_check needs probes\.d_min < 0\.01"):
+        parse_config_text(MINIMAL + window + "probes.sign_check = true\n")
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.cfg"))
