@@ -9,7 +9,10 @@ The matrix annihilates constants by construction (zero row sums). Its
 near-kernel is spanned by the indicators of the connected components of
 the complement of the jump set; the "deflated gap" gamma is the smallest
 eigenvalue after projecting that span out, and 1/sqrt(gamma) is the
-corresponding Poincare-type constant.
+corresponding Poincare-type constant. In 1D, A = D^T F D / h^2 with D the
+node-to-face difference, so P A P = G^T G with G = F^(1/2) D P / h square,
+and the dense mode reads every eigenvalue off the banded face-space
+matrix G G^T, which has the same spectrum.
 """
 
 from __future__ import annotations
@@ -55,16 +58,18 @@ def component_indicators(grid: PeriodicGrid, geom) -> np.ndarray:
 def deflation_basis(indicators: np.ndarray) -> np.ndarray:
     """QR basis of the indicator span; rejects rank-deficient spans.
 
-    A deflation column with (numerically) zero norm after orthogonalization
-    means a component the grid does not resolve; proceeding would deflate
-    a phantom direction, so this is a hard error.
+    A deflation column with (numerically) zero norm after orthogonalization,
+    or more columns than nodes, means a component the grid does not
+    resolve; proceeding would deflate a phantom direction, so this is a
+    hard error.
     """
     from scipy.linalg import qr
 
     V = np.asarray(indicators, dtype=float)
     Q, R = qr(V, mode="economic")
     col_scale = np.max(np.abs(V), axis=0)
-    if np.any(np.abs(np.diag(R)) <= 1e-10 * np.maximum(col_scale, 1.0)):
+    diag = np.abs(np.diag(R))
+    if V.shape[1] > V.shape[0] or np.any(diag <= 1e-10 * np.maximum(col_scale, 1.0)):
         raise LinearAlgebraError(
             "deflation space is rank-deficient: a component of the jump-set "
             "complement is not resolved by the grid"
@@ -78,22 +83,110 @@ def spectrum_deflated(A: np.ndarray, indicators: np.ndarray):
     Returns (gamma, eigenvalues_ascending, deflation_dim). The first
     deflation_dim eigenvalues are the zeros manufactured by P; gamma is
     the next one. A must be symmetric PSD; symmetry defects beyond
-    round-off raise LinearAlgebraError.
+    round-off raise LinearAlgebraError, and so does a deflation that
+    leaves no eigenvalue above the deflated ones. A ring Laplacian (the
+    1D stencil) with disjointly supported indicators takes the banded
+    route of `_ring_spectrum`; every other A is solved dense.
     """
-    from scipy.linalg import eigh
-
-    defect = float(np.max(np.abs(A - A.T)))
-    if defect > 1e-10 * max(matrix_norm(A), 1.0):
-        raise LinearAlgebraError(f"matrix symmetry defect {defect:.2e}")
     Q = deflation_basis(indicators)
     r = Q.shape[1]
-    B = 0.5 * (A + A.T)
-    PB = B - Q @ (Q.T @ B)
-    M = PB - (PB @ Q) @ Q.T
-    M = 0.5 * (M + M.T)
-    eigs = eigh(M, eigvals_only=True)
-    gamma = float(eigs[r])
-    return gamma, eigs, r
+    if r == A.shape[0]:
+        raise LinearAlgebraError(
+            f"the {r} deflated directions span all {r} nodes: no eigenvalue is left above them"
+        )
+    faces = _ring_faces(A)
+    ind = np.asarray(indicators, dtype=float)
+    if faces is not None and np.all(np.count_nonzero(ind, axis=1) <= 1):
+        eigs = _ring_spectrum(faces, ind / np.linalg.norm(ind, axis=0))
+    else:
+        eigs = _dense_spectrum(A, Q)
+    return float(eigs[r]), eigs, r
+
+
+def _check_symmetry(defect: float, scale: float) -> None:
+    if defect > _roundoff(scale):
+        raise LinearAlgebraError(f"matrix symmetry defect {defect:.2e}")
+
+
+def _roundoff(scale: float) -> float:
+    """The tolerance of the symmetry and zero-row-sum tests, from max|A_ij|."""
+    return 1e-10 * max(scale, 1.0)
+
+
+def _ring_faces(A: np.ndarray):
+    """The face weights f_i = -A[i, i-1] when A is a ring Laplacian, else None.
+
+    A ring Laplacian has every nonzero on the cyclic tridiagonal,
+    nonpositive off-diagonals and zero row sums, so A = D^T diag(f) D with
+    (D w)_i = w_i - w_{i-1}. The symmetry and scale checks read only the
+    O(n) band entries.
+    """
+    i = np.arange(A.shape[0])
+    diag, lower, upper = band = np.stack([A[i, i], A[i, i - 1], A[i - 1, i]])
+    if np.count_nonzero(A) != np.count_nonzero(band):
+        return None
+    scale = float(np.max(np.abs(band)))
+    _check_symmetry(float(np.max(np.abs(lower - upper))), scale)
+    row_sums = diag + lower + np.roll(upper, -1)
+    if max(np.max(lower), np.max(upper)) > 0 or np.max(np.abs(row_sums)) > _roundoff(scale):
+        return None
+    return -lower
+
+
+def _ring_spectrum(faces: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of P A P for A = D^T diag(faces) D, from a banded matrix.
+
+    P A P = G^T G with G = S D P and S = diag(sqrt(faces)). G is square, so
+    P A P has exactly the eigenvalues of K = G G^T, multiplicities
+    included. In face space K = B B^T - (B Q)(B Q)^T with B = S D. With Q
+    the normalized indicator columns, B Q is nonzero only on the jump
+    faces, so K is the face ring plus one chord per arc between its end
+    faces; reverse Cuthill-McKee turns it into a narrow band for LAPACK
+    sbevd, O(n^2 b) in place of the O(n^3) dense solve.
+    """
+    from scipy.linalg import eigvals_banded
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = faces.size
+    i = np.arange(n)
+    s = np.sqrt(faces)
+    B = csr_matrix(
+        (np.concatenate([s, -s]), (np.tile(i, 2), np.concatenate([i, i - 1]) % n)), shape=(n, n)
+    )
+    BQ = B @ csr_matrix(Q)
+    K = (B @ B.T - BQ @ BQ.T).tocsr()
+    K.eliminate_zeros()
+    order = reverse_cuthill_mckee(K, symmetric_mode=True)
+    K = K[order][:, order].tocoo()
+    lower = K.row >= K.col
+    offset = (K.row - K.col)[lower]
+    band = np.zeros((np.max(offset, initial=0) + 1, n))
+    band[offset, K.col[lower]] = K.data[lower]
+    return eigvals_banded(band, lower=True, overwrite_a_band=True, check_finite=False)
+
+
+def _dense_spectrum(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of P A P by a dense eigensolve, with one N x N copy.
+
+    P A P = A - Q V^T - V Q^T with V = A Q - Q (Q^T A Q) / 2: one rank-2r
+    update (BLAS syr2k) of the lower triangle of a Fortran copy of A. The
+    symmetry check runs over row blocks, with no N x N temporary.
+    """
+    from scipy.linalg import eigh
+    from scipy.linalg.blas import dsyr2k
+
+    n = A.shape[0]
+    defect = scale = 0.0
+    for k in range(0, n, 256):
+        rows = slice(k, k + 256)
+        defect = max(defect, float(np.max(np.abs(A[rows] - A[:, rows].T))))
+        scale = max(scale, float(np.max(np.abs(A[rows]))))
+    _check_symmetry(defect, scale)
+    AQ = A @ Q
+    V = AQ - 0.5 * (Q @ (Q.T @ AQ))
+    M = dsyr2k(-1.0, Q, V, beta=1.0, c=np.array(A, order="F"), lower=1, overwrite_c=1)
+    return eigh(M, lower=True, eigvals_only=True, overwrite_a=True, check_finite=False)
 
 
 def matrix_norm(A) -> float:

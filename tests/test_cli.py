@@ -415,6 +415,28 @@ def test_unresolved_component_exits_5(tmp_path, capsys):
     assert "not resolved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "jumps,values,message",
+    [
+        # four one-node arcs deflate the whole space: no gap is left
+        ("-0.9, -0.4, 0.1, 0.6", "1, 0, 1, 0", "no eigenvalue is left"),
+        # five arcs on four nodes: one of them holds no node
+        ("-0.9, -0.4, 0.1, 0.6, 0.7", "1, 0, 1, 0, 1", "not resolved"),
+    ],
+)
+def test_deflating_every_node_exits_5(tmp_path, capsys, jumps, values, message):
+    cfg = write_cfg(
+        tmp_path,
+        "dimension = 1\nepsilon = 0.7\ngrid.n = 4\n"
+        f"geometry.jumps = {jumps}\ngeometry.values = {values}\n",
+    )
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 5
+    assert message in capsys.readouterr().err
+    assert not (out / "eigenvalues.csv").exists()
+    assert not (out / "spectrum_report.json").exists()
+
+
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]

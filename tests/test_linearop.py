@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracpm.linearop as lo
 from fracpm.curves import Circle
@@ -149,6 +153,117 @@ def test_symmetry_guard():
     M = np.triu(np.ones((8, 8)))
     with pytest.raises(LinearAlgebraError):
         lo.spectrum_deflated(M, np.ones((8, 1)))
+
+
+def oracle_deflated_eigenvalues(A, indicators):
+    """Oracle: every eigenvalue of P A P from numpy's QR and a dense eigvalsh."""
+    Q, _ = np.linalg.qr(np.asarray(indicators, dtype=float))
+    P = np.eye(A.shape[0]) - Q @ Q.T
+    return np.linalg.eigvalsh(P @ A @ P)
+
+
+def arc_indicators(n, cuts):
+    """Indicators of the arcs [cuts[j], cuts[j + 1]) of the node ring, the
+    last arc wrapping around; node i sits after face i."""
+    label = (np.searchsorted(cuts, np.arange(n), side="right") - 1) % len(cuts)
+    return np.stack([label == j for j in range(len(cuts))], axis=1).astype(float)
+
+
+def ring_case(name):
+    """(A, indicators) of one ring-route case."""
+    if name == "symmetric step":
+        grid, geom, A = build(512)
+        return A, lo.component_indicators(grid, geom)
+    rng = np.random.default_rng(11)
+    n = 256
+    faces = rng.uniform(0.05, 1.0, n)
+    if name == "six random jumps":
+        cuts = np.sort(rng.choice(n, 6, replace=False))
+    elif name == "arc of one node":
+        cuts = np.array([10, 11, 140])
+    else:  # a cut ring: two zero faces split it into two pieces
+        cuts = np.array([60, 190])
+        faces[cuts] = 0.0
+    return lo.assemble(PeriodicGrid(1, n), faces), arc_indicators(n, cuts)
+
+
+@pytest.mark.parametrize("name", ["symmetric step", "six random jumps", "arc of one node", "cut ring"])
+def test_ring_route_matches_dense_oracle(name, monkeypatch):
+    A, ind = ring_case(name)
+    monkeypatch.setattr(lo, "_dense_spectrum", None)  # the ring route must serve
+    gamma, eigs, r = lo.spectrum_deflated(A, ind)
+    want = oracle_deflated_eigenvalues(A, ind)
+    scale = np.max(np.abs(A))
+    assert r == ind.shape[1] and gamma == eigs[r]
+    assert np.max(np.abs(eigs - want)) <= 1e-12 * scale
+    assert abs(gamma - want[r]) <= 1e-9 * want[r]
+    # the zeros are the deflated ones alone, with or without zero faces
+    zeros = np.sum(np.abs(eigs) < 1e-10 * scale)
+    assert zeros == np.sum(np.abs(want) < 1e-10 * scale) == r
+
+
+def test_dense_route_serves_a_ring_that_is_no_laplacian(op_256, monkeypatch):
+    """A + I has the ring pattern but nonzero row sums: the dense route."""
+    grid, geom, A = op_256
+    B = A + np.eye(grid.n)
+    ind = lo.component_indicators(grid, geom)
+    monkeypatch.setattr(lo, "_ring_spectrum", None)
+    _, eigs, r = lo.spectrum_deflated(B, ind)
+    assert np.max(np.abs(eigs - oracle_deflated_eigenvalues(B, ind))) <= 1e-12 * np.max(np.abs(B))
+
+
+def test_symmetry_guard_on_the_ring_band():
+    A = lo.assemble(PeriodicGrid(1, 8), np.ones(8))
+    A[3, 2] -= 1e-3
+    A[3, 3] += 1e-3
+    with pytest.raises(LinearAlgebraError, match="symmetry defect"):
+        lo.spectrum_deflated(A, np.ones((8, 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 32).map(lambda k: 2 * k),
+    jumps=st.lists(st.floats(-1.0, 0.999), min_size=2, max_size=12, unique=True),
+    values=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+    eps=st.sampled_from([0.3, 0.7]),
+)
+def test_tiny_jump_sets_agree_with_the_oracle_or_refuse(n, jumps, values, eps):
+    grid = PeriodicGrid(1, n)
+    try:
+        geom = offgrid(JumpSet1D(tuple(sorted(jumps)), tuple(values[: len(jumps)])), grid)
+    except ConfigError:  # jumps within round-off merge under the off-grid shift
+        return
+    A = lo.assemble(grid, lo.face_alpha(grid, geom, FracParams(eps)))
+    ind = lo.component_indicators(grid, geom)
+    try:
+        _, eigs, _ = lo.spectrum_deflated(A, ind)
+    except LinearAlgebraError:
+        return
+    want = oracle_deflated_eigenvalues(A, ind)
+    assert np.max(np.abs(eigs - want)) <= 1e-12 * np.max(np.abs(A))
+
+
+def traced_peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ring_route_allocates_no_dense_matrix():
+    grid, geom, A = build(2048)
+    peak = traced_peak_bytes(lo.spectrum_deflated, A, lo.component_indicators(grid, geom))
+    assert peak < 8e6  # A itself is 33.6 MB
+
+
+def test_dense_route_holds_one_copy_of_the_matrix():
+    grid = PeriodicGrid(2, 32)
+    geom = offgrid(JumpSet2D(Circle((0.0, 0.0), 0.5)), grid)
+    A = lo.assemble(grid, lo.face_alpha(grid, geom, P7))
+    peak = traced_peak_bytes(lo.spectrum_deflated, A, lo.component_indicators(grid, geom))
+    assert peak <= 2.5 * A.size * 8
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
