@@ -162,6 +162,9 @@ def cmd_evolve(cfg: RunConfig, outdir: str, seed: int | None) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
+    import scipy.sparse.csgraph  # noqa: F401  loaded in set-up, not in the eigensolve
+    import scipy.sparse.linalg  # noqa: F401
+
     from . import linearop
 
     grid, geom = _prepared(cfg)

@@ -23,7 +23,8 @@ Gauss-Legendre. The work grows like log(1/d) and the result is accurate
 to round-off at any d > 0. A panel still splitting after 40 bisections
 means the point is on the curve (closer than about 1e-12), which raises
 ConfigError. The reciprocal sum is separable: Re sum (E_x C) * E_y with
-E_a = e^{i pi x_a k} over one axis of 87 wavenumbers.
+E_a = e^{i pi x_a k} over one axis of 87 wavenumbers. The evaluator builds
+one `special.GammaQ` table of Q per part (exponent 1 - eps/2, and eps/2).
 
 Curve geometry is exact. A circle's signed distance has its closed form; a
 spline's is the distance to the foot point, bracketed by the nearest of 4096
@@ -40,17 +41,18 @@ sum with a tail window, cutoff K >= 8/d for the smallest distance d. It
 costs O(K^2) per batch, so it serves moderate d and cross-checks only.
 
 Both share mu_hat; for circles mu_hat has the Bessel closed form
-(pi r / 2) J0(pi r |k|) e^{-i pi k . c}, pinned against the trapezoid
-`quadrature` in tests; other curves take that trapezoid sum.
+(pi r / 2) J0(pi r |k|) e^{-i pi k . c} (J0 from `special.j0`), pinned
+against the trapezoid `quadrature` in tests; other curves take that
+trapezoid sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, j0
 
 from .errors import ConfigError
 from .grid import FracParams
+from .special import GammaQ, gamma, j0
 
 _GAMMA_TAIL = 36.0  # e^-36 ~ 2e-16: where incomplete-gamma tails are dropped
 # the periodic images (mx, my) that distance and quadrature sums visit, in order
@@ -209,8 +211,9 @@ class EwaldStepField2D:
         self.t0 = float(t0)
         eps = p.epsilon
         self.a_short = 1.0 - eps / 2.0
-        self.gamma_a_short = np.exp(gammaln(self.a_short))
-        self.gamma_half_eps = np.exp(gammaln(eps / 2.0))
+        self.q_short = GammaQ(self.a_short)
+        self.gamma_a_short = gamma(self.a_short)
+        self.gamma_half_eps = gamma(eps / 2.0)
         # reciprocal sum: the (k_x, k_y) matrix over one axis k, zero outside
         # 0 < t0 |k|^2 <= tail threshold
         kmax = int(np.ceil(np.sqrt(_GAMMA_TAIL / self.t0)))
@@ -221,15 +224,12 @@ class EwaldStepField2D:
         self.long_coeff = np.where(
             keep,
             k2 ** (-eps / 2.0)
-            * gammaincc(eps / 2.0, self.t0 * k2)
+            * GammaQ(eps / 2.0)(self.t0 * k2)
             * _mu_hat(curve, self.k, self.k),
             0.0,
         )
         # constant subtracted so that the k = 0 term is absent
-        self.k0_term = (
-            curve.length() / 4.0 * self.t0 ** (eps / 2.0)
-            / np.exp(gammaln(eps / 2.0 + 1.0))
-        )
+        self.k0_term = curve.length() / 4.0 * self.t0 ** (eps / 2.0) / gamma(eps / 2.0 + 1.0)
         self.rho_max = 4.0 * np.sqrt(self.t0)  # beyond this Psi underflows
         # admissible panels start from the curve's smooth pieces
         self._gl = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -242,7 +242,7 @@ class EwaldStepField2D:
         eps = self.p.epsilon
         q = 0.5 * np.pi * rho
         u0 = q * q / self.t0
-        gu = self.gamma_a_short * gammaincc(self.a_short, u0)
+        gu = self.gamma_a_short * self.q_short(u0)
         out = [q ** (eps - 2.0) * gu]
         if derivs:
             ee = np.where(u0 < 700.0, u0 ** (self.a_short - 1.0) * np.exp(-u0), 0.0)

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import eye as speye
-from scipy.sparse.linalg import splu
 
 from .errors import BlowUpError, ConfigError, LinearAlgebraError
 from .geometry import weight_profile
@@ -175,15 +173,21 @@ class SemiImplicitStepper:
         self.grid = grid
         self.cfg = cfg
         self.last_iterations = 0  # matvecs of the last advance, failures included
-        self._fd_solve = None  # False once CG has failed with it
+        self._fd_solve = False  # 2D, or 1D once CG has failed with the FD factor
         self._history = []  # rfftn of the last four inputs w, newest first
+        if grid.dim == 1:
+            import scipy.sparse.linalg  # noqa: F401  loaded in set-up, not in the first solve
+            self._fd_solve = None
 
     def _precond(self, alpha: np.ndarray):
         g, dt = self.grid, self.cfg.dt
         ops = spectral.spectral_ops(g)
-        if g.dim == 1 and self._fd_solve is None:
+        if self._fd_solve is None:
+            from scipy.sparse import eye
+            from scipy.sparse.linalg import splu
+
             faces = 0.5 * (alpha + np.roll(alpha, 1))
-            m = speye(g.n) + dt * linearop.assemble_sparse(g, faces)
+            m = eye(g.n) + dt * linearop.assemble_sparse(g, faces)
             solve = splu(m.tocsc()).solve
             self._fd_solve = lambda r: ops.forward(solve(ops.inverse(r)))
         if self._fd_solve:
@@ -233,6 +237,7 @@ def evolve(
     relative to its initial value.
     """
     cfg.validate(grid)
+    stepper = SemiImplicitStepper(grid, cfg) if cfg.scheme == "semi_implicit" else None
     S = singular_field
     if S is None:
         S = precompute_singular_field(grid, geom, p)
@@ -244,7 +249,6 @@ def evolve(
     limit = 2.0 * max(1.0, float(np.max(np.abs(u)))) + 1e-12
     alpha = diffusion_coefficient(grid, p, S, w)
     traj.record(0.0, w, u, linearop.dirichlet_energy(w, alpha), take_snapshot=True)
-    stepper = SemiImplicitStepper(grid, cfg) if cfg.scheme == "semi_implicit" else None
     w_prev = w
     for i in range(1, steps + 1):
         if stepper is not None:

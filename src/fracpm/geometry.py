@@ -91,6 +91,9 @@ class JumpSet1D(_JumpSet):
 
     def shifted(self, offset: float) -> "JumpSet1D":
         pos = tuple(np.mod(p + offset + 1.0, 2.0) - 1.0 for p in self.positions)
+        if len(set(pos)) < len(pos):
+            raise ConfigError("geometry.jumps: two jumps closer than round-off coincide"
+                              f" once shifted by {offset:g}; merge them or move them apart")
         order = np.argsort(pos)
         return JumpSet1D(
             tuple(pos[i] for i in order), tuple(self.values[i] for i in order)

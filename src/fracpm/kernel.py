@@ -1,4 +1,4 @@
-"""The periodic singular kernel G_eps and slow reference summations.
+"""The periodic singular kernel G_eps.
 
 G_eps(x) = 2 * sum_{k>=1} cos(pi k x) / k^eps  on the period [-1, 1).
 
@@ -10,31 +10,26 @@ Production evaluation uses the exact reflection form
     B  = 2^(1+eps) pi^(eps-1) sin(pi eps / 2)
     c_n = zeta(2n+1-eps) * Gamma(2n+1-eps) / (2n)! / 4^n
 
-obtained from the zeta functional equation; every c_n is positive, the
+obtained from the zeta functional equation; c_0 < 0 < c_n for n >= 1, the
 series converges on |x| <= 1 with ratio ~ x^2/4 per term, and the singular
-prefactor A is explicit. The n = 0 coefficient needs zeta(1 - eps) with
-argument inside (0, 1), which scipy's zeta does not cover; that single
-scalar comes from mpmath and is cached per evaluator.
+prefactor A is explicit. Every zeta value, zeta(1 - eps) in (0, 1)
+included, comes from `special.zeta` (no mpmath scalar), and
+Gamma(2n+1-eps) / (2n)! is a running product, so no two large log-gammas
+cancel.
 
-Two independent slow routes exist for cross-checks: a (tapered) direct
+The tests cross-check it on two independent slow routes: a tapered direct
 partial sum of the defining series, and mpmath's polylogarithm
-2 Re Li_eps(e^{i pi x}) evaluated in arbitrary precision.
+2 Re Li_eps(e^{i pi x}) in arbitrary precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, zeta as hurwitz_zeta
 
 from .grid import FracParams
+from .special import gamma, zeta
 
 _SERIES_TERMS = 72
-
-
-def _zeta_below_one(s: float) -> float:
-    import mpmath
-
-    return float(mpmath.zeta(s))
 
 
 class ClausenEvaluator:
@@ -49,15 +44,12 @@ class ClausenEvaluator:
         self.p = p
         eps = p.epsilon
         sin_half = np.sin(np.pi * eps / 2.0)
-        self.A = 2.0 * np.exp(gammaln(1.0 - eps)) * sin_half * np.pi ** (eps - 1.0)
+        self.A = 2.0 * gamma(1.0 - eps) * sin_half * np.pi ** (eps - 1.0)
         self.B = 2.0 ** (1.0 + eps) * np.pi ** (eps - 1.0) * sin_half
         n = np.arange(_SERIES_TERMS)
-        z = np.empty(_SERIES_TERMS)
-        z[0] = _zeta_below_one(1.0 - eps)
-        z[1:] = hurwitz_zeta(2.0 * n[1:] + 1.0 - eps)
-        self.coeffs = z * np.exp(
-            gammaln(2.0 * n + 1.0 - eps) - gammaln(2.0 * n + 1.0)
-        ) * 0.25**n
+        j = np.arange(1.0, 2 * _SERIES_TERMS - 1)
+        ratio = gamma(1.0 - eps) * np.cumprod(np.append(1.0, (j - eps) / j))[::2]
+        self.coeffs = zeta(2.0 * n + 1.0 - eps) * ratio * 0.25**n
 
     @staticmethod
     def _wrap(x) -> np.ndarray:
@@ -93,48 +85,11 @@ class ClausenEvaluator:
             return sing + self.B * smooth
         raise ValueError("order must be 1 or 2")
 
-    def direct_sum(self, x, n_terms: int, taper: bool = True) -> np.ndarray:
-        """Brute-force partial sum of 2 sum cos(pi k x)/k^eps.
-
-        With taper=True a Hann window over the second half of the terms
-        removes the conditional-convergence ripple of a hard cutoff; the
-        plain cutoff (taper=False) is kept as the crudest possible
-        comparator.
-        """
-        x = np.atleast_1d(self._wrap(x))
-        eps = self.p.epsilon
-        out = np.zeros(x.shape)
-        block = 2_000_000
-        half = n_terms // 2
-        for lo in range(1, n_terms + 1, block):
-            hi = min(lo + block, n_terms + 1)
-            k = np.arange(lo, hi, dtype=float)
-            w = k ** (-eps)
-            if taper:
-                mask = k > half
-                w[mask] *= 0.5 * (1.0 + np.cos(np.pi * (k[mask] - half) / (n_terms - half)))
-            out += 2.0 * np.cos(np.pi * np.outer(x, k)) @ w
-        return out
-
-    def mp_reference(self, x, dps: int = 40) -> np.ndarray:
-        """Arbitrary-precision values via 2 Re Li_eps(e^{i pi x})."""
-        import mpmath
-
-        x = np.atleast_1d(self._wrap(x))
-        vals = np.empty(x.shape)
-        with mpmath.workdps(dps):
-            s = mpmath.mpf(self.p.epsilon)
-            for i, xi in enumerate(x.ravel()):
-                z = mpmath.expjpi(mpmath.mpf(float(xi)))
-                li = z * mpmath.lerchphi(z, s, 1)
-                vals.ravel()[i] = float(2 * mpmath.re(li))
-        return vals
-
 
 def kernel_at_one(p: FracParams) -> float:
     """Closed form G_eps(1) = -2 * eta(eps) (alternating zeta)."""
     eps = p.epsilon
-    return float(-2.0 * (1.0 - 2.0 ** (1.0 - eps)) * _zeta_below_one(eps))
+    return float(-2.0 * (1.0 - 2.0 ** (1.0 - eps)) * zeta(eps))
 
 
 def series_frac_derivative(modes, p: FracParams, x) -> np.ndarray:

@@ -9,11 +9,11 @@ drowned in Gibbs ripple.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .geometry import JumpSet1D, power_constant_fit, probe_distances
 from .grid import FracParams
 from .kernel import ClausenEvaluator
+from .special import beta
 from .spectral import alpha_from_fracfield
 
 SIGN_WINDOW = (1e-3, 1e-2)  # distances where `concavity` differences alpha
@@ -124,8 +124,8 @@ def beta_condition(p: FracParams, method: str = "beta") -> float:
     eps = p.epsilon
     if method == "beta":
         return float(
-            1.5 * beta_fn(0.5, (3.0 - eps) / 2.0)
-            - 0.5 * beta_fn(0.5, (1.0 - eps) / 2.0)
+            1.5 * beta(0.5, (3.0 - eps) / 2.0)
+            - 0.5 * beta(0.5, (1.0 - eps) / 2.0)
         )
     if method == "quadrature":
         from scipy.integrate import quad

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.fft
 
 from .grid import FracParams, PeriodicGrid, ScalarField
 
@@ -68,10 +67,16 @@ class SpectralOps:
             a.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return scipy.fft.rfftn(values)
+        # rfftn by 1D calls, the complex ones in place: rfftn's wrapper adds a copy
+        c = np.fft.rfft(values)
+        for axis in range(values.ndim - 1):
+            np.fft.fft(c, axis=axis, out=c)
+        return c
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfftn(coeffs, s=self.shape)
+        for axis in range(coeffs.ndim - 1):
+            coeffs = np.fft.ifft(coeffs, axis=axis)
+        return np.fft.irfft(coeffs, n=self.shape[-1])
 
 
 @functools.lru_cache(maxsize=64)

@@ -39,6 +39,35 @@ def child_peak_mb(code: str) -> float:
     return int(out.stdout.split()[-2]) / 1024.0  # last line "VmHWM: <kB> kB"
 
 
+def kernel_direct_sum(p, x, n_terms):
+    """Partial sum of 2 sum cos(pi k x) / k^eps, the kernel's defining series,
+    with a Hann window over the second half of the terms against the
+    ripple of a hard cutoff."""
+    x = np.atleast_1d(np.mod(np.asarray(x, dtype=float) + 1.0, 2.0) - 1.0)
+    out = np.zeros(x.shape)
+    block = 2_000_000
+    half = n_terms // 2
+    for lo in range(1, n_terms + 1, block):
+        k = np.arange(lo, min(lo + block, n_terms + 1), dtype=float)
+        w = k ** (-p.epsilon)
+        mask = k > half
+        w[mask] *= 0.5 * (1.0 + np.cos(np.pi * (k[mask] - half) / (n_terms - half)))
+        out += 2.0 * np.cos(np.pi * np.outer(x, k)) @ w
+    return out
+
+
+def kernel_mp_reference(p, x, dps=40):
+    """The kernel in arbitrary precision, 2 Re Li_eps(e^{i pi x})."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(p.epsilon)
+        return np.array([
+            float(2 * mpmath.re(z * mpmath.lerchphi(z, s, 1)))
+            for z in (mpmath.expjpi(mpmath.mpf(float(xi))) for xi in np.ravel(x))
+        ]).reshape(np.shape(x))
+
+
 def offgrid(geom, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -257,17 +257,65 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     child_peak_mb("import sys, fracpm.cli\nassert 'scipy.integrate' not in sys.modules\n")
 
 
+def main_call(command, cfg, out):
+    """A line of child code that runs one command and asserts exit 0."""
+    return f"assert main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
+
+
+NO_SCIPY = (
+    "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')]\n"
+    "assert not loaded, loaded\n"
+)
+
+
 def test_cli_import_loads_no_fit_or_quadrature_modules():
     """Start-up import guard: every process pays its module-level imports
-    in set-up time and peak memory. The fits are numpy only, and scipy's
-    optimizer, spatial, quadrature and interpolation packages, and mpmath,
-    serve only configs and checks that import them where they are used."""
+    in set-up time and peak memory. The fits, special functions and FFTs
+    are numpy only; scipy and mpmath serve only the commands and checks
+    that import them where they are used."""
+    child_peak_mb("import sys, fracpm.cli\n" + NO_SCIPY)
+
+
+def test_2d_fracfield_and_evolve_load_no_scipy(tmp_path):
+    fracfield = write_cfg(tmp_path, BASE_2D, "fracfield.cfg")
+    evolve = write_cfg(
+        tmp_path,
+        BASE_2D + "perturbation.kind = noise\nsolver.dt = 1e-4\nsolver.t_final = 3e-4\n",
+        "evolve.cfg",
+    )
     child_peak_mb(
-        "import sys, fracpm.cli\n"
-        "mods = ('scipy.optimize', 'scipy.spatial', 'scipy.integrate',"
-        " 'scipy.interpolate', 'mpmath')\n"
-        "loaded = [m for m in mods if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        "import sys\nfrom fracpm.cli import main\n"
+        + main_call("fracfield", fracfield, tmp_path / "f")
+        + main_call("evolve", evolve, tmp_path / "e")
+        + NO_SCIPY
+    )
+
+
+@pytest.mark.parametrize(
+    "command, text, setup",
+    [
+        ("evolve", BASE_1D + "solver.dt = 1e-3\nsolver.t_final = 3e-3\n",
+         "fracpm.evolution:precompute_singular_field"),
+        ("spectrum", BASE_1D.replace("256", "64"), "fracpm.linearop:face_alpha"),
+    ],
+    ids=("evolve", "spectrum"),
+)
+def test_1d_scipy_loads_by_the_end_of_set_up(tmp_path, command, text, setup):
+    """The 1D stepper's splu and the eigensolve load scipy before the set-up
+    call returns, so the import is not timed as part of the solve."""
+    cfg = write_cfg(tmp_path, text)
+    module, name = setup.split(":")
+    child_peak_mb(
+        "import sys, importlib\nfrom fracpm.cli import main\n"
+        f"mod = importlib.import_module({module!r})\n"
+        f"inner, seen = getattr(mod, {name!r}), []\n"
+        "def probe(*a, **k):\n"
+        "    out = inner(*a, **k)\n"
+        "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+        "    return out\n"
+        f"setattr(mod, {name!r}, probe)\n"
+        + main_call(command, cfg, tmp_path / "o")
+        + "assert seen and seen[0], seen\n"
     )
 
 
@@ -413,6 +461,18 @@ def test_unresolved_component_exits_5(tmp_path, capsys):
     )
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
     assert "not resolved" in capsys.readouterr().err
+
+
+def test_jumps_that_coincide_once_shifted_exit_2_naming_the_key(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "dimension = 1\nepsilon = 0.7\ngrid.n = 64\n"
+        "geometry.jumps = 0.0, 7.1e-54\ngeometry.values = 1.0, 0.0\n",
+    )
+    assert main(["fracfield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "geometry.jumps" in err and "coincide" in err
+    assert "strictly increasing" not in err
 
 
 @pytest.mark.parametrize(

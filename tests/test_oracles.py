@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import kernel_mp_reference
 from fracpm.geometry import JumpSet1D, probe_distances
 from fracpm.grid import FracParams
-from fracpm.kernel import ClausenEvaluator
 from fracpm.oracles import (
     alpha_H,
     alpha_H_and_derivatives,
@@ -20,10 +20,9 @@ def test_step_field_matches_mpmath_route():
     # same jump decomposition, but the kernel evaluated through mpmath
     # polylogs instead of the accelerated series split
     p = FracParams(0.3)
-    ev = ClausenEvaluator(p)
     sizes = STEP.jump_sizes()
     ref = sum(
-        0.5 * sizes[i] * ev.mp_reference(X - STEP.positions[i]) for i in range(2)
+        0.5 * sizes[i] * kernel_mp_reference(p, X - STEP.positions[i]) for i in range(2)
     )
     assert np.max(np.abs(fracH_1d(STEP, p, X) - ref)) < 1e-12
 
