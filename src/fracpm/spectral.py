@@ -66,11 +66,13 @@ class SpectralOps:
         for a in arrays:
             a.flags.writeable = False
 
+    # rfftn / irfftn as their 1D calls: numpy's n-dimensional wrappers add
+    # several microseconds per call, and the stepping path makes tens of
+    # thousands of calls
     def forward(self, values: np.ndarray) -> np.ndarray:
-        # rfftn by 1D calls, the complex ones in place: rfftn's wrapper adds a copy
         c = np.fft.rfft(values)
         for axis in range(values.ndim - 1):
-            np.fft.fft(c, axis=axis, out=c)
+            c = np.fft.fft(c, axis=axis)
         return c
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
