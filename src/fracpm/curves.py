@@ -19,18 +19,24 @@ of period 1 and `breaks`, the edges of its smooth pieces. For each point
 and periodic image, a panel starts as one piece, is bisected while the
 point is closer to its midpoint than the panel's arclength, and is dropped
 once it lies beyond the kernel's reach; the survivors take 16-point
-Gauss-Legendre. The work grows like log(1/d) and the result is accurate
-to round-off at any d > 0. A panel still splitting after 40 bisections
-means the point is on the curve (closer than about 1e-12), which raises
-ConfigError. The reciprocal sum is separable: Re sum (E_x C) * E_y with
-E_a = e^{i pi x_a k} over one axis of 87 wavenumbers. The evaluator builds
-one `special.GammaQ` table of Q per part (exponent 1 - eps/2, and eps/2).
+Gauss-Legendre. The quadrature visits the nine images of a point offset
+by 0 or +-2 along each axis (`_IMAGES`), not only the nearest: a piece
+longer than about 0.43 (1 less the reach 4 sqrt(t0)) can be in reach of
+two images of one point. Points are wrapped into the box first, and for a
+curve drawn in the box [-1, 1]^2, the range the config parser enforces,
+the nine hold every image in reach. The work grows like log(1/d) and the
+result is accurate to round-off at any d > 0. A panel still splitting
+after 40 bisections means the point is on the curve (closer than about
+1e-12), which raises ConfigError. The reciprocal sum is separable:
+Re sum (E_x C) * E_y with E_a = e^{i pi x_a k} over one axis of 87
+wavenumbers. The evaluator builds one `special.GammaQ` table of Q per part
+(exponent 1 - eps/2, and eps/2).
 
-Curve geometry is exact. A circle's signed distance has its closed form; a
-spline's is the distance to the foot point, bracketed by the nearest of 4096
-samples (a kd-tree on the torus finds it across the periodic images),
-refined by Newton steps on the parameter and signed by the side of its
-normal. A spline shifts exactly by translating its knots. Evaluation's one
+Curve geometry is exact. A circle's signed distance is one hypot to the
+nearest image of its centre (`geometry.periodic_delta`); a spline's is the
+distance to the foot point, bracketed by the nearest of 4096 samples (a
+kd-tree on the torus finds it across the periodic images), refined by
+Newton steps on the parameter and signed by the side of its normal. A spline shifts exactly by translating its knots. Evaluation's one
 on-curve test is the bisection cap above.
 
 A bare curve feeds only `EwaldStepField2D` and `lattice_field_2d`; every
@@ -51,11 +57,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import periodic_delta
 from .grid import FracParams
 from .special import GammaQ, gamma, j0
 
 _GAMMA_TAIL = 36.0  # e^-36 ~ 2e-16: where incomplete-gamma tails are dropped
-# the periodic images (mx, my) that distance and quadrature sums visit, in order
+# the periodic images (mx, my) of each point in the short-range quadrature
 _IMAGES = tuple((mx, my) for mx in (-2.0, 0.0, 2.0) for my in (-2.0, 0.0, 2.0))
 _GL_ORDER = 16  # Gauss-Legendre nodes per admissible panel
 _MAX_LEVELS = 40  # bisections before a point counts as lying on the curve
@@ -99,14 +106,10 @@ class Circle(_ClosedCurve):
         return xy, np.full(theta.shape, self.length())
 
     def signed_distance(self, x, y) -> np.ndarray:
-        """Negative inside the circle (nearest image)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        best = None
-        for mx, my in _IMAGES:
-            s = np.hypot(x - self.center[0] - mx, y - self.center[1] - my) - self.radius
-            best = s if best is None else np.where(np.abs(s) < np.abs(best), s, best)
-        return best
+        """Negative inside the circle. Only the nearest image of the centre
+        counts: every other one is at least 1 away, and the radius is below 1."""
+        dx, dy = periodic_delta(x, self.center[0]), periodic_delta(y, self.center[1])
+        return np.hypot(dx, dy) - self.radius
 
     def mu_hat_closed_form(self, kx, ky) -> np.ndarray:
         absk = np.hypot(kx, ky)
@@ -133,6 +136,8 @@ class SplineCurve(_ClosedCurve):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise ConfigError("spline curve needs >= 3 points of shape (m, 2)")
+        if np.any(np.all(pts == np.roll(pts, 1, axis=0), axis=1)):  # a zero-length piece
+            raise ConfigError("spline curve needs consecutive points to differ")
         closed = np.vstack([pts, pts[:1]])
         t = np.linspace(0.0, 1.0, closed.shape[0])
         self._spline = CubicSpline(t, closed, bc_type="periodic")
@@ -324,12 +329,13 @@ class EwaldStepField2D:
     def evaluate(self, points, want=("field",)):
         """Evaluate at points of shape (..., 2).
 
-        Returns a dict with keys among 'field', 'grad', 'lap'. A point
-        closer than about 1e-12 to the curve counts as on it: its panels are
-        still splitting at the bisection cap, which raises ConfigError.
+        Returns a dict with keys among 'field', 'grad', 'lap'. Points are
+        wrapped into the box first. A point closer than about 1e-12 to the
+        curve counts as on it: its panels are still splitting at the
+        bisection cap, which raises ConfigError.
         """
         pts = np.asarray(points, dtype=float)
-        flat = np.atleast_2d(pts.reshape(-1, 2))
+        flat = periodic_delta(np.atleast_2d(pts.reshape(-1, 2)), 0.0)
         derivs = "grad" in want or "lap" in want
         parts = np.empty((4 if derivs else 1, flat.shape[0]))
         step = max(1, _PAIRS // (len(_IMAGES) * self._pieces[0].size))

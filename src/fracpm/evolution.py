@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, LinearAlgebraError
-from .geometry import weight_profile
+from .geometry import check_values, weight_profile
 from .grid import FracParams, PeriodicGrid, ScalarField
 from .oracles import step_field
 from . import linearop, spectral
 
 
 MAX_STEPS = 10**6  # round(t_final / dt) ceiling
+MAX_DT = 1.0  # 10x the decay time 1/pi^2 of the box's slowest mode: a longer step resolves nothing
 MAX_SNAPSHOT_FLOATS = 2**27  # 1 GiB of float64 snapshots held by one run
 
 
@@ -49,8 +50,8 @@ class SolverConfig:
     snapshot_stride: int = 50
 
     def validate_static(self):
-        if not (0 < self.dt < np.inf and 0 < self.t_final < np.inf):
-            raise ConfigError("dt and t_final must be finite and positive")
+        if not (0 < self.dt <= MAX_DT and 0 < self.t_final < np.inf):
+            raise ConfigError(f"dt must lie in (0, {MAX_DT:g}] and t_final be finite and positive")
         if self.t_final / self.dt > MAX_STEPS + 0.5:  # round(t_final / dt) > MAX_STEPS
             raise ConfigError(f"t_final / dt exceeds the {MAX_STEPS} step ceiling")
         if not (0.0 < self.tolerance <= 1e-6):
@@ -228,21 +229,22 @@ def evolve(
     p: FracParams,
     w0: ScalarField,
     cfg: SolverConfig,
-    n_steps: int | None = None,
     singular_field: np.ndarray | None = None,
 ) -> Trajectory:
-    """Run the splitting scheme; returns the recorded trajectory.
+    """Run round(t_final / dt) steps of the splitting scheme, the count
+    `cfg.validate` bounds; returns the recorded trajectory.
 
     Aborts with BlowUpError if the sup norm of u = H + w ever doubles
     relative to its initial value.
     """
     cfg.validate(grid)
+    check_values("perturbation values", w0.values)
     stepper = SemiImplicitStepper(grid, cfg) if cfg.scheme == "semi_implicit" else None
     S = singular_field
     if S is None:
         S = precompute_singular_field(grid, geom, p)
     H = geom.indicator(*grid.nodes())
-    steps = n_steps if n_steps is not None else int(round(cfg.t_final / cfg.dt))
+    steps = round(cfg.t_final / cfg.dt)
     w = ScalarField(grid, w0.values.copy())
     traj = Trajectory()
     u = H + w.values
@@ -293,6 +295,7 @@ def initial_perturbation(
     "none" the zero field. The taper flag multiplies by the capped
     distance weight so the perturbation vanishes at the jump set.
     """
+    check_values("perturbation.amplitude", amplitude)
     if kind == "none":
         return ScalarField(grid, np.zeros(grid.shape))
     nodes = grid.nodes()

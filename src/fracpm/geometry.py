@@ -31,9 +31,22 @@ from .errors import ConfigError, ExcludedParameterError
 from .grid import PeriodicGrid
 
 
+COLLISION_TOL = 1e-12  # how close to a node or face a jump set collides
+MAX_FIELD_VALUE = 1e100  # |step or perturbation value| ceiling: fields and squares stay finite
+
+
 def periodic_delta(x, a) -> np.ndarray:
-    """Signed periodic difference x - a reduced to [-1, 1)."""
-    return np.mod(np.asarray(x, dtype=float) - a + 1.0, 2.0) - 1.0
+    """Signed periodic difference x - a of the nearest image, in [-1, 1): the
+    one wrap rule. fmod and the +-2 are exact, so this is the rounded x - a
+    bit for bit whenever |x - a| < 1."""
+    r = np.fmod(np.asarray(x, dtype=float) - a, 2.0)
+    return np.where(r >= 1.0, r - 2.0, np.where(r < -1.0, r + 2.0, r))
+
+
+def check_values(what, values):
+    """ConfigError unless every value lies within MAX_FIELD_VALUE (nan fails)."""
+    if not np.all(np.abs(values) <= MAX_FIELD_VALUE):
+        raise ConfigError(f"{what} must lie in [-{MAX_FIELD_VALUE:g}, {MAX_FIELD_VALUE:g}]")
 
 
 class _JumpSet:
@@ -67,6 +80,7 @@ class JumpSet1D(_JumpSet):
             raise ConfigError("jump positions must be strictly increasing")
         if len(self.values) != len(pos):
             raise ConfigError("need one interval value per jump position")
+        check_values("step values", self.values)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
@@ -79,18 +93,14 @@ class JumpSet1D(_JumpSet):
         return v - np.roll(v, 1)
 
     def label(self, x) -> np.ndarray:
-        x = np.mod(np.asarray(x, dtype=float) + 1.0, 2.0) - 1.0
-        idx = np.searchsorted(self.positions, x, side="right") - 1
+        idx = np.searchsorted(self.positions, periodic_delta(x, 0.0), side="right") - 1
         return np.where(idx < 0, len(self.positions) - 1, idx)
 
     def distance(self, x) -> np.ndarray:
-        d = np.min(
-            [np.abs(periodic_delta(x, a)) for a in self.positions], axis=0
-        )
-        return d
+        return np.min([np.abs(periodic_delta(x, a)) for a in self.positions], axis=0)
 
     def shifted(self, offset: float) -> "JumpSet1D":
-        pos = tuple(np.mod(p + offset + 1.0, 2.0) - 1.0 for p in self.positions)
+        pos = tuple(float(periodic_delta(p + offset, 0.0)) for p in self.positions)
         if len(set(pos)) < len(pos):
             raise ConfigError("geometry.jumps: two jumps closer than round-off coincide"
                               f" once shifted by {offset:g}; merge them or move them apart")
@@ -114,8 +124,7 @@ class JumpSet2D(_JumpSet):
     """
 
     def __init__(self, curve, inside: float = 1.0, outside: float = 0.0):
-        if not np.isfinite(inside) or not np.isfinite(outside):
-            raise ConfigError("step values must be finite")
+        check_values("step values", (inside, outside))
         if inside == outside:
             raise ConfigError("step values must differ across the curve")
         self.curve = curve
@@ -138,14 +147,14 @@ class JumpSet2D(_JumpSet):
         return self.curve.outward_point(d, angle=angle)
 
 
-def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
+def ensure_offgrid(geom, grid: PeriodicGrid):
     """Shift a jump set off the node/face lattice if it collides.
 
     The singular field is evaluated at the nodes and at the face midpoints
-    half a cell along each axis; a jump set within tol of any of them is
-    translated along every axis by the first of h/4, h/8 and 3h/8 that
-    clears them all (a ConfigError if none does). In 1D the nodes and faces
-    tile the h/2 lattice (the default step at +-1/2 collides on every
+    half a cell along each axis; a jump set within COLLISION_TOL of any of
+    them is translated along every axis by the first of h/4, h/8 and 3h/8
+    that clears them all (a ConfigError if none does). In 1D the nodes and
+    faces tile the h/2 lattice (the default step at +-1/2 collides on every
     power-of-two grid) and h/4 lands on the h/4 sub-lattice, which can never
     collide. Returns (possibly shifted geometry, shifted: bool) and warns
     on shift.
@@ -156,7 +165,7 @@ def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
              for unit in np.eye(grid.dim)]
 
     def collides(g):
-        return any(np.min(g.distance(*pts)) < tol for pts in (nodes, *faces))
+        return any(np.min(g.distance(*pts)) < COLLISION_TOL for pts in (nodes, *faces))
 
     if not collides(geom):
         return geom, False
@@ -177,41 +186,21 @@ def ensure_offgrid(geom, grid: PeriodicGrid, tol: float = 1e-12):
     )
 
 
-def _hermite_blend_coeffs() -> np.ndarray:
-    """Degree-7 two-point Hermite basis on s in [0,1].
-
-    Solves for p with p(0)=p'(0)=..., matching value/slope/2nd/3rd derivative
-    at both ends; returned as the coefficient matrix applied to the 8 end
-    conditions. Computed once at import via a small linear solve.
-    """
-    rows = []
-    for end in (0.0, 1.0):
-        for der in range(4):
-            row = np.zeros(8)
-            for j in range(der, 8):
-                row[j] = np.prod(np.arange(j, j - der, -1)) * end ** (j - der)
-            rows.append(row)
-    return np.linalg.inv(np.asarray(rows))
-
-
-_BLEND = _hermite_blend_coeffs()
-
-
 def weight_profile(d, delta: float) -> np.ndarray:
     """The cutoff weight: d below delta, 1 above 2*delta, C^3 blend between.
 
     The blend is the degree-7 Hermite interpolant matching value, first,
     second and third derivatives of both branches at d = delta and
-    d = 2*delta (a quintic cannot satisfy all eight conditions).
+    d = 2*delta (a quintic cannot satisfy all eight conditions), in closed
+    form in s = (d - delta) / delta.
     """
     if delta <= 0:
         raise ConfigError("delta must be positive")
     d = np.asarray(d, dtype=float)
-    s = np.clip((d - delta) / delta, 0.0, 1.0)
-    # end conditions: value delta, slope delta (d/ds = delta * d/dd), rest 0
-    cond = np.array([delta, delta, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    coeffs = _BLEND @ cond
-    blend = np.polynomial.polynomial.polyval(s, coeffs)
+    s = (np.clip(d, delta, 2.0 * delta) - delta) / delta  # in [0, 1], even for a denormal delta
+    blend = np.polynomial.polynomial.polyval(s, [
+        delta, delta, 0.0, 0.0, 35.0 - 55.0 * delta, 129.0 * delta - 84.0,
+        70.0 - 106.0 * delta, 30.0 * delta - 20.0])
     return np.where(d <= delta, d, np.where(d >= 2.0 * delta, 1.0, blend))
 
 
@@ -296,6 +285,10 @@ def power_constant_fit(d, values):
     d, y = _fit_samples(d, values, "power-plus-constant fit")
     d_ref = np.sqrt(d.min() * d.max())  # keeps the d^s column well scaled
     x = d / d_ref
+    # the relative fit is scale-free: a power-of-two scale, exact, keeps 1/y
+    # finite for a field of subnormal size
+    y_ref = 2.0 ** np.round(np.log2(y.max()))
+    y = y / y_ref
     ones = np.ones_like(y)
 
     def solve(s):
@@ -312,8 +305,8 @@ def power_constant_fit(d, values):
     (a_ref, c), ssr = solve(s)
     return (
         s,
-        float(a_ref * d_ref ** (-s)),
-        float(c),
+        float(a_ref * d_ref ** (-s) * y_ref),
+        float(c * y_ref),
         float(np.sqrt(ssr / y.size)),
         int(y.size),
     )

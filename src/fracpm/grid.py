@@ -82,6 +82,8 @@ class FracParams:
         e = self.epsilon
         if not (0.0 < e < 1.0):
             raise ConfigError(f"epsilon must lie in (0, 1), got {e}")
+        if 1.0 - e == 1.0:  # the 1D kernel's zeta(1 - epsilon) would sit on its pole
+            raise ConfigError(f"epsilon = {e} is 0 to double precision: 1 - epsilon rounds to 1")
         if self.forbid_half and abs(e - 0.5) < 1e-12:
             raise ExcludedParameterError(
                 "epsilon = 1/2 is excluded for sign-definite quantities"

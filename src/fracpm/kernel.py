@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import periodic_delta
 from .grid import FracParams
 from .special import gamma, zeta
 
@@ -33,10 +34,11 @@ _SERIES_TERMS = 72
 
 
 class ClausenEvaluator:
-    """Evaluates G_eps and its first two derivatives anywhere on the period.
+    """Evaluates G_eps anywhere on the period.
 
-    The evaluator wraps its argument into [-1, 1); the kernel is even, with
-    an integrable power singularity at x = 0 (evaluating exactly at a jump
+    The evaluator wraps its argument into [-1, 1) with `periodic_delta`,
+    which leaves x in (-1, 1) untouched; the kernel is even, with an
+    integrable power singularity at x = 0 (evaluating exactly at a jump
     returns +inf by design, callers keep a positive distance).
     """
 
@@ -51,39 +53,14 @@ class ClausenEvaluator:
         ratio = gamma(1.0 - eps) * np.cumprod(np.append(1.0, (j - eps) / j))[::2]
         self.coeffs = zeta(2.0 * n + 1.0 - eps) * ratio * 0.25**n
 
-    @staticmethod
-    def _wrap(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.mod(x + 1.0, 2.0) - 1.0
-
     def values(self, x) -> np.ndarray:
-        x = self._wrap(x)
+        x = periodic_delta(x, 0.0)
         ax = np.abs(x)
         eps = self.p.epsilon
         with np.errstate(divide="ignore"):
             sing = np.where(ax > 0, ax ** (eps - 1.0), np.inf)
         smooth = np.polynomial.polynomial.polyval(x * x, self.coeffs)
         return self.A * sing + self.B * smooth
-
-    def derivative(self, x, order: int = 1) -> np.ndarray:
-        """d^order G / dx^order for order in {1, 2}, away from x = 0."""
-        x = self._wrap(x)
-        ax = np.abs(x)
-        s = np.sign(x)
-        eps = self.p.epsilon
-        c = self.coeffs
-        two_n = 2.0 * np.arange(len(c))
-        if order == 1:
-            sing = self.A * (eps - 1.0) * ax ** (eps - 2.0) * s
-            dc = (c * two_n)[1:]
-            smooth = x * np.polynomial.polynomial.polyval(x * x, dc)
-            return sing + self.B * smooth
-        if order == 2:
-            sing = self.A * (eps - 1.0) * (eps - 2.0) * ax ** (eps - 3.0)
-            dc2 = (c * two_n * (two_n - 1.0))[1:]
-            smooth = np.polynomial.polynomial.polyval(x * x, dc2)
-            return sing + self.B * smooth
-        raise ValueError("order must be 1 or 2")
 
 
 def kernel_at_one(p: FracParams) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import JumpSet1D, power_constant_fit, probe_distances
 from .grid import FracParams
 from .kernel import ClausenEvaluator
@@ -17,6 +18,7 @@ from .special import beta
 from .spectral import alpha_from_fracfield
 
 SIGN_WINDOW = (1e-3, 1e-2)  # distances where `concavity` differences alpha
+FD_FRACTION = 1.0 / 64.0  # second-difference step over the distance to the jump set
 
 
 def fracH_1d(geom: JumpSet1D, p: FracParams, x) -> np.ndarray:
@@ -28,19 +30,11 @@ def fracH_1d(geom: JumpSet1D, p: FracParams, x) -> np.ndarray:
     """
     ev = ClausenEvaluator(p)
     x = np.asarray(x, dtype=float)
+    if np.any(geom.distance(x) == 0.0):  # the kernel is infinite there
+        raise ConfigError("evaluation point lies on a jump")
     out = np.zeros(x.shape)
     for a, s in zip(geom.positions, geom.jump_sizes()):
         out += 0.5 * s * ev.values(x - a)
-    return out
-
-
-def fracH_1d_derivative(geom: JumpSet1D, p: FracParams, x, order: int = 1):
-    """Analytic x-derivatives of fracH_1d (independent route for FD checks)."""
-    ev = ClausenEvaluator(p)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    for a, s in zip(geom.positions, geom.jump_sizes()):
-        out += 0.5 * s * ev.derivative(x - a, order)
     return out
 
 
@@ -66,12 +60,12 @@ def alpha_H(geom, p: FracParams, x) -> np.ndarray:
     return alpha_from_fracfield(step_field(geom, p)(np.asarray(x, dtype=float)))
 
 
-def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 64.0):
+def alpha_H_and_derivatives(geom, p: FracParams, x):
     """alpha = 1/(1 + F^2) on the step field F, and its second differences.
 
     x has shape (..., dim). second is the sum over the axes of the central
     second differences: alpha'' in 1D, the five-point Laplacian in 2D (not a
-    derivative along the ray). Every stencil step is h = fd_fraction * d(x),
+    derivative along the ray). Every stencil step is h = FD_FRACTION * d(x),
     tied to the local distance so the stencil never straddles the jump set.
     epsilon = 1/2 is rejected: the sign analysis this feeds degenerates
     there.
@@ -85,7 +79,7 @@ def alpha_H_and_derivatives(geom, p: FracParams, x, fd_fraction: float = 1.0 / 6
         return alpha_from_fracfield(field(pts))
 
     x = np.asarray(x, dtype=float)
-    h = fd_fraction * geom.distance(*np.moveaxis(x, -1, 0))
+    h = FD_FRACTION * geom.distance(*np.moveaxis(x, -1, 0))
     alpha = alpha_at(x)
     pairs = 0.0
     for e in np.eye(x.shape[-1]):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolution import SolverConfig
+from .geometry import COLLISION_TOL
 from .grid import FracParams, PeriodicGrid
 from .oracles import SIGN_WINDOW
 
@@ -103,8 +104,7 @@ class RunConfig:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ConfigError("dimension must be 1 or 2")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ConfigError("epsilon must lie in (0, 1)")
+        FracParams(self.epsilon)  # epsilon's range
         if self.grid_n == 0:
             self.grid_n = 512 if self.dimension == 1 else 128
         if self.perturbation_kind not in ("sine", "mode", "noise", "none", "file"):
@@ -121,8 +121,14 @@ class RunConfig:
             raise ConfigError("geometry.delta must be positive")
         if len(self.center) != 2:
             raise ConfigError("geometry.center needs two numbers")
-        if not (0 < self.probes_d_min < self.probes_d_max):
-            raise ConfigError("probe window must satisfy 0 < d_min < d_max")
+        # the short-range quadrature's images reach a curve drawn in the box
+        for key, pts in (("geometry.center", [self.center]),
+                         ("geometry.points", self.spline_points)):
+            if any(abs(c) > 1.0 for pt in pts for c in pt):
+                raise ConfigError(f"{key}: coordinates must lie in [-1, 1], the periodic box")
+        if not (COLLISION_TOL <= self.probes_d_min < self.probes_d_max):
+            # closer than COLLISION_TOL counts as on the jump set
+            raise ConfigError(f"probe window must satisfy {COLLISION_TOL:g} <= d_min < d_max")
         if not (1 <= self.probes_count <= MAX_PROBES):
             raise ConfigError(f"probes.count must lie in [1, {MAX_PROBES}]")
         if self.sign_check and self.probes_d_min >= SIGN_WINDOW[1]:

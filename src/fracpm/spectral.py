@@ -116,9 +116,11 @@ def frac_gradient_2d(f: ScalarField, p: FracParams) -> ScalarField:
 
 
 def alpha_from_fracfield(v: np.ndarray) -> np.ndarray:
-    """Diffusion coefficient alpha = 1 / (1 + v^2), elementwise."""
+    """Diffusion coefficient alpha = 1 / (1 + v^2), elementwise; 0, its
+    exact limit, where v^2 overflows."""
     v = np.asarray(v, dtype=float)
-    return 1.0 / (1.0 + v * v)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + v * v)
 
 
 def pm_divergence_form(alpha: ScalarField, c: np.ndarray) -> np.ndarray:

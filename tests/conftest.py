@@ -17,7 +17,7 @@ import pytest
 
 import fracpm
 from fracpm.curves import Circle
-from fracpm.geometry import JumpSet1D, JumpSet2D, ensure_offgrid
+from fracpm.geometry import JumpSet1D, JumpSet2D, ensure_offgrid, periodic_delta
 from fracpm.grid import FracParams, PeriodicGrid
 
 # Hypothesis caches the literals of the code under test in its storage
@@ -56,16 +56,47 @@ def kernel_direct_sum(p, x, n_terms):
     return out
 
 
-def kernel_mp_reference(p, x, dps=40):
-    """The kernel in arbitrary precision, 2 Re Li_eps(e^{i pi x})."""
+def kernel_mp_reference(p, x, dps=40, a=0.0):
+    """The kernel at x - a in arbitrary precision, 2 Re Li_eps(e^{i pi (x - a)}),
+    the difference taken exactly."""
     import mpmath
 
     with mpmath.workdps(dps):
         s = mpmath.mpf(p.epsilon)
         return np.array([
             float(2 * mpmath.re(z * mpmath.lerchphi(z, s, 1)))
-            for z in (mpmath.expjpi(mpmath.mpf(float(xi))) for xi in np.ravel(x))
+            for z in (mpmath.expjpi(mpmath.mpf(float(xi)) - mpmath.mpf(a)) for xi in np.ravel(x))
         ]).reshape(np.shape(x))
+
+
+def kernel_derivative(ev, x, order):
+    """d^order G / dx^order, order 1 or 2, of a `ClausenEvaluator`'s kernel:
+    its reflection form A |x|^(eps-1) + B sum c_n x^(2n) differentiated term
+    by term. An analytic route for the finite-difference checks, valid away
+    from x = 0."""
+    x = periodic_delta(x, 0.0)
+    ax = np.abs(x)
+    eps = ev.p.epsilon
+    two_n = 2.0 * np.arange(len(ev.coeffs))
+    if order == 1:
+        sing = ev.A * (eps - 1.0) * ax ** (eps - 2.0) * np.sign(x)
+        smooth = x * np.polynomial.polynomial.polyval(x * x, (ev.coeffs * two_n)[1:])
+    else:
+        sing = ev.A * (eps - 1.0) * (eps - 2.0) * ax ** (eps - 3.0)
+        dc2 = (ev.coeffs * two_n * (two_n - 1.0))[1:]
+        smooth = np.polynomial.polynomial.polyval(x * x, dc2)
+    return sing + ev.B * smooth
+
+
+def fracH_1d_derivative(geom, p, x, order):
+    """x-derivatives of `oracles.fracH_1d`, sum_j s_j G^(order)(x - a_j) / 2,
+    through `kernel_derivative`."""
+    from fracpm.kernel import ClausenEvaluator
+
+    ev = ClausenEvaluator(p)
+    x = np.asarray(x, dtype=float)
+    return sum(0.5 * s * kernel_derivative(ev, x - a, order)
+               for a, s in zip(geom.positions, geom.jump_sizes()))
 
 
 def offgrid(geom, grid):

@@ -291,6 +291,19 @@ def test_2d_fracfield_and_evolve_load_no_scipy(tmp_path):
     )
 
 
+def test_criterion_clock_starts_after_the_scipy_imports():
+    """A criterion's runtime_s is its own work: in a fresh process the
+    suite's scipy modules are loaded before the first criterion starts."""
+    child_peak_mb(
+        "import sys\nfrom fracpm import verify\n"
+        "MODULES = ('scipy.integrate', 'scipy.linalg', 'scipy.sparse.linalg')\n"
+        "def probe():\n"
+        "    return all(m in sys.modules for m in MODULES), {}\n"
+        "verify.CRITERIA = (('C00', 'probe', 'verify', probe),)\n"
+        "assert verify.run_criterion('C00')['passed']\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, text, setup",
     [
@@ -377,6 +390,26 @@ def test_evolve_above_the_work_ceilings_exits_2_at_once(tmp_path, capsys, text, 
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 1.0
     assert named in capsys.readouterr().err
+
+
+# a circle or spline knot outside the box: one torus curve seen from an
+# image the quadrature never visits (a wrong field), 21M bisected curve points
+# (a MemoryError), and a distance that overflows into "on the curve"
+OUT_OF_BOX = (
+    ("geometry.center = 4.1, 0\ngeometry.radius = 0.4\n", "geometry.center"),
+    ("geometry.curve = spline\ngeometry.points = 1e300,1; -1,0.5; 0,0.3; -1,0\n",
+     "geometry.points"),
+    ("geometry.center = 1e300, 0\n", "geometry.center"),
+)
+
+
+@pytest.mark.parametrize("text, named", OUT_OF_BOX,
+                         ids=("shifted-circle", "huge-knot", "huge-center"))
+def test_curve_outside_the_box_exits_2_naming_the_key(tmp_path, capsys, text, named):
+    cfg = write_cfg(tmp_path, BASE_2D.replace("epsilon = 0.7", "epsilon = 0.3") + text)
+    assert main(["fracfield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "[-1, 1]" in err and "on the curve" not in err
 
 
 def test_missing_config_flag_exits_2(capsys):

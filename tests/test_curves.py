@@ -46,6 +46,36 @@ def test_circle_basics(circle):
     assert circle.signed_distance(0.0, 0.0) < 0 < circle.signed_distance(0.99, 0.99)
 
 
+def nine_image_signed_distance(circle, x, y):
+    """The signed distance of the nearest of the 3 x 3 images of the
+    circle, in scan order, with the arithmetic of each image kept apart."""
+    best = None
+    for mx in (-2.0, 0.0, 2.0):
+        for my in (-2.0, 0.0, 2.0):
+            s = np.hypot(x - circle.center[0] - mx, y - circle.center[1] - my) - circle.radius
+            best = s if best is None else np.where(np.abs(s) < np.abs(best), s, best)
+    return best
+
+
+def test_circle_distance_is_the_nearest_of_nine_images():
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        centre = rng.choice([-1.0, 1.0], 2) if i % 10 == 0 else rng.uniform(-1.0, 1.0, 2)
+        c = Circle(centre, rng.uniform(0.001, 0.999))
+        x, y = rng.uniform(-1.0, 1.0, (2, 2000))
+        x[:4], y[:4] = -1.0, np.array([-1.0, 0.0, c.center[1], 0.5])  # the box edge
+        assert np.array_equal(c.signed_distance(x, y), nine_image_signed_distance(c, x, y))
+
+
+def test_points_outside_the_box_take_the_field_of_their_image(evaluator):
+    inside = np.array([[0.55, 0.02], [-0.3, 0.6]])
+    outside = inside + np.array([[4.0, 0.0], [-2.0, 6.0]])
+    want = evaluator.evaluate(inside, want=("field", "grad"))
+    got = evaluator.evaluate(outside, want=("field", "grad"))
+    for key in ("field", "grad"):
+        assert np.allclose(got[key], want[key], rtol=1e-12, atol=0.0)
+
+
 def test_circle_mu_hat_matches_quadrature(circle):
     """Closed-form boundary-measure coefficients against plain trapezoid
     sums over curve points; the box has measure 4."""

@@ -38,7 +38,7 @@ def test_zero_perturbation_is_stationary(run_1d):
     grid, geom, S = run_1d
     traj = evolve(
         grid, geom, P, ScalarField(grid, np.zeros(grid.shape)),
-        SolverConfig(dt=1e-4), n_steps=50, singular_field=S,
+        SolverConfig(dt=1e-4, t_final=5e-3), singular_field=S,
     )
     assert max(traj.l2_w) < 1e-14
 
@@ -46,7 +46,7 @@ def test_zero_perturbation_is_stationary(run_1d):
 def test_contraction_mean_and_energy(run_1d):
     grid, geom, S = run_1d
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=3)
-    traj = evolve(grid, geom, P, w0, SolverConfig(dt=1e-4), n_steps=100, singular_field=S)
+    traj = evolve(grid, geom, P, w0, SolverConfig(dt=1e-4, t_final=1e-2), singular_field=S)
     linf = np.asarray(traj.linf_u)
     mean = np.asarray(traj.mean_u)
     energy = np.asarray(traj.energy)
@@ -57,11 +57,11 @@ def test_contraction_mean_and_energy(run_1d):
 
 def test_evolution_is_deterministic(run_1d):
     grid, geom, S = run_1d
-    cfg = SolverConfig(dt=1e-4, snapshot_stride=20)
+    cfg = SolverConfig(dt=1e-4, t_final=4e-3, snapshot_stride=20)
     outs = []
     for _ in range(2):
         w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=42)
-        traj = evolve(grid, geom, P, w0, cfg, n_steps=40, singular_field=S)
+        traj = evolve(grid, geom, P, w0, cfg, singular_field=S)
         outs.append(traj.snapshots[-1][1])
     assert np.array_equal(outs[0], outs[1])
 
@@ -70,10 +70,22 @@ def test_snapshot_stride_counts(run_1d):
     grid, geom, S = run_1d
     traj = evolve(
         grid, geom, P, initial_perturbation(grid, geom, seed=1),
-        SolverConfig(dt=1e-4, snapshot_stride=10), n_steps=100, singular_field=S,
+        SolverConfig(dt=1e-4, t_final=1e-2, snapshot_stride=10), singular_field=S,
     )
     assert len(traj.snapshots) == 11  # t=0 plus every 10th step
     assert len(traj.times) == 101
+
+
+def test_step_count_is_the_one_the_ceilings_checked(run_1d):
+    """t_final / dt is the only step count: a run over the snapshot ceiling
+    stops before its first step, whoever calls evolve."""
+    grid, geom, S = run_1d
+    w0 = ScalarField(grid, np.zeros(grid.shape))
+    cfg = SolverConfig(dt=1e-6, t_final=1.0, snapshot_stride=1)
+    with pytest.raises(ConfigError, match="snapshot values"):
+        evolve(grid, geom, P, w0, cfg, singular_field=S)
+    with pytest.raises(TypeError):
+        evolve(grid, geom, P, w0, SolverConfig(dt=1e-4), n_steps=3, singular_field=S)
 
 
 def test_first_order_in_dt(run_1d_128):
@@ -85,8 +97,8 @@ def test_first_order_in_dt(run_1d_128):
 
     def endpoint(dt):
         steps = int(round(horizon / dt))
-        cfg = SolverConfig(dt=dt, snapshot_stride=steps)
-        return evolve(grid, geom, P, w0, cfg, n_steps=steps, singular_field=S).snapshots[-1][1]
+        cfg = SolverConfig(dt=dt, t_final=horizon, snapshot_stride=steps)
+        return evolve(grid, geom, P, w0, cfg, singular_field=S).snapshots[-1][1]
 
     ref = endpoint(2.5e-4 / 8.0)
     errs = [np.max(np.abs(endpoint(dt) - ref)) for dt in (2e-3, 1e-3, 5e-4)]
@@ -203,9 +215,10 @@ def test_explicit_scheme_is_the_real_space_update(run_1d):
     """w + dt div(alpha grad w) per step, to 1e-15, against the complex-FFT
     operator on nodal values."""
     grid, geom, S = run_1d
-    cfg = SolverConfig(dt=grid.h**2 / 4.0, scheme="explicit", snapshot_stride=20)
+    dt = grid.h**2 / 4.0
+    cfg = SolverConfig(dt=dt, t_final=20 * dt, scheme="explicit", snapshot_stride=20)
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=9)
-    traj = evolve(grid, geom, P, w0, cfg, n_steps=20, singular_field=S)
+    traj = evolve(grid, geom, P, w0, cfg, singular_field=S)
     w = w0.values
     for _ in range(20):
         alpha = evo.diffusion_coefficient(grid, P, S, ScalarField(grid, w))
@@ -219,8 +232,8 @@ def test_fd_preconditioner_iterations_at_c09_config():
     geom = offgrid(JumpSet1D.symmetric_step(), grid)
     p = FracParams(0.3)
     w0 = initial_perturbation(grid, geom, kind="mode", amplitude=1e-3, taper=True)
-    cfg = SolverConfig(dt=2e-3, tolerance=1e-12)
-    traj = evolve(grid, geom, p, w0, cfg, n_steps=20)
+    cfg = SolverConfig(dt=2e-3, t_final=0.04, tolerance=1e-12)
+    traj = evolve(grid, geom, p, w0, cfg)
     assert len(traj.cg_iterations) == 20
     assert max(traj.cg_iterations) <= 40
 
@@ -243,8 +256,8 @@ def test_stale_fd_factor_converges_on_rough_noise(run_1d, monkeypatch):
     grid, geom, S = run_1d
     builds = _count_fd_builds(monkeypatch)
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=0.5, taper=False, seed=4)
-    cfg = SolverConfig(dt=1e-4)
-    traj = evolve(grid, geom, P, w0, cfg, n_steps=50, singular_field=S)
+    cfg = SolverConfig(dt=1e-4, t_final=5e-3)
+    traj = evolve(grid, geom, P, w0, cfg, singular_field=S)
     mean = np.asarray(traj.mean_u)
     assert len(builds) == 1
     assert max(traj.cg_iterations) < cfg.max_linear_iter
@@ -271,8 +284,8 @@ def test_fd_failure_falls_back_to_fft_solve(run_1d, monkeypatch):
 
     monkeypatch.setattr(evo, "_pcg", recording_pcg)
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=0.5, taper=False, seed=4)
-    cfg = SolverConfig(dt=2e-3, max_linear_iter=120)
-    traj = evolve(grid, geom, p, w0, cfg, n_steps=10, singular_field=S)
+    cfg = SolverConfig(dt=2e-3, t_final=0.02, max_linear_iter=120)
+    traj = evolve(grid, geom, p, w0, cfg, singular_field=S)
     iters = traj.cg_iterations
     failed = [i for i, it in enumerate(iters) if it > cfg.max_linear_iter]
     assert len(failed) == 1 and len(builds) == 1
@@ -312,8 +325,9 @@ def test_cross_scheme_agreement_is_second_order():
     def gap(dt, steps=16):
         final = {}
         for scheme in ("explicit", "semi_implicit"):
-            cfg = SolverConfig(dt=dt, scheme=scheme, snapshot_stride=steps, tolerance=1e-12)
-            traj = evolve(grid, geom, P, w0, cfg, n_steps=steps, singular_field=S)
+            cfg = SolverConfig(dt=dt, t_final=steps * dt, scheme=scheme,
+                               snapshot_stride=steps, tolerance=1e-12)
+            traj = evolve(grid, geom, P, w0, cfg, singular_field=S)
             final[scheme] = traj.snapshots[-1][1]
         return np.max(np.abs(final["explicit"] - final["semi_implicit"]))
 
@@ -353,9 +367,10 @@ def test_blow_up_detection(run_1d, monkeypatch):
     grid, geom, S = run_1d
     monkeypatch.setattr(evo, "diffusion_coefficient", lambda g, p, s, w: -np.ones(g.shape))
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=1)
-    cfg = SolverConfig(dt=grid.h**2 / 2.0, scheme="explicit")
+    dt = grid.h**2 / 2.0
+    cfg = SolverConfig(dt=dt, t_final=500 * dt, scheme="explicit")
     with pytest.raises(BlowUpError) as info:
-        evolve(grid, geom, P, w0, cfg, n_steps=500, singular_field=S)
+        evolve(grid, geom, P, w0, cfg, singular_field=S)
     err = info.value
     assert err.exit_code == 4
     assert err.trajectory is not None and len(err.trajectory.times) >= 1
@@ -539,13 +554,13 @@ def test_warm_start_saves_matvecs_on_a_circle(monkeypatch):
     p = FracParams(0.8)
     S = precompute_singular_field(grid, geom, p)
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=2)
-    cfg = SolverConfig(dt=1e-4)
-    warm = evolve(grid, geom, p, w0, cfg, n_steps=40, singular_field=S)
+    cfg = SolverConfig(dt=1e-4, t_final=4e-3)
+    warm = evolve(grid, geom, p, w0, cfg, singular_field=S)
     real_pcg = evo._pcg
     monkeypatch.setattr(
         evo, "_pcg", lambda a, b, pc, tol, maxiter, x0=None: real_pcg(a, b, pc, tol, maxiter)
     )
-    cold = evolve(grid, geom, p, w0, cfg, n_steps=40, singular_field=S)
+    cold = evolve(grid, geom, p, w0, cfg, singular_field=S)
     assert sum(warm.cg_iterations) <= 0.6 * sum(cold.cg_iterations)
     assert np.allclose(warm.l2_w, cold.l2_w, rtol=1e-8, atol=0.0)
 

@@ -71,6 +71,50 @@ def test_periodic_delta_wraps_shortest_way():
     assert abs(periodic_delta(-0.99, 0.99) - 0.02) < 1e-14
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(-2.0, 2.0), a=st.floats(-2.0, 2.0))
+def test_periodic_delta_is_exact_within_one_period(x, a):
+    d = np.float64(x) - np.float64(a)
+    got = periodic_delta(x, a)
+    assert -1.0 <= got < 1.0
+    if abs(d) < 1.0:
+        assert np.asarray(got).tobytes() == np.asarray(d).tobytes()
+    else:  # another image: x - a moved by a multiple of the period
+        assert (got - d) / 2.0 == np.round((got - d) / 2.0)
+
+
+def test_periodic_delta_at_the_edges_of_the_period():
+    below_one = np.nextafter(1.0, 0.0)
+    x = np.array([below_one, -below_one, -1.0, 1.0, 3.0, -3.0, 1e-300, -0.0])
+    assert np.array_equal(periodic_delta(x, 0.0), [below_one, -below_one, -1.0, -1.0,
+                                                   -1.0, -1.0, 1e-300, 0.0])
+    assert np.signbit(periodic_delta(-0.0, 0.0))
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.05, 0.1, 0.3])
+def test_weight_profile_meets_its_plateau(delta):
+    assert abs(weight_profile(2.0 * delta * (1.0 - 1e-12), delta) - 1.0) < 1e-14
+
+
+def test_step_values_beyond_the_ceiling_are_refused():
+    with pytest.raises(ConfigError, match="step values"):
+        JumpSet1D((-0.5, 0.5), (0.0, 1.7976931348623157e308))
+    with pytest.raises(ConfigError, match="step values"):
+        JumpSet2D(Circle(), inside=-1e101)
+    JumpSet1D((-0.5, 0.5), (-1e100, 1e100))
+
+
+def test_power_constant_fit_is_scale_free_down_to_a_subnormal_field():
+    d = probe_distances(1e-4, 1e-2, 32)
+    y = 3.0 * d**-0.7 + 0.5
+    fit = power_constant_fit(d, y)
+    small = power_constant_fit(d, y * 2.0**-900)  # exact scaling, same fit
+    assert small[0] == fit[0] and small[1:3] == (fit[1] * 2.0**-900, fit[2] * 2.0**-900)
+    tiny = power_constant_fit(d, y * 2.0**-1040)  # subnormal: 1/y overflows unscaled
+    assert abs(tiny[0] - fit[0]) < 1e-9
+    assert np.allclose(np.ldexp(tiny[1:3], 1040), fit[1:3], rtol=1e-6)
+
+
 def test_probe_distances_geometric():
     d = probe_distances(1e-4, 1e-2, 32)
     assert len(d) == 32

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import kernel_mp_reference
+from conftest import fracH_1d_derivative, kernel_mp_reference
 from fracpm.geometry import JumpSet1D, probe_distances
 from fracpm.grid import FracParams
 from fracpm.oracles import (
@@ -9,7 +9,6 @@ from fracpm.oracles import (
     alpha_H_and_derivatives,
     beta_condition,
     fracH_1d,
-    fracH_1d_derivative,
 )
 
 STEP = JumpSet1D.symmetric_step()
@@ -25,6 +24,24 @@ def test_step_field_matches_mpmath_route():
         0.5 * sizes[i] * kernel_mp_reference(p, X - STEP.positions[i]) for i in range(2)
     )
     assert np.max(np.abs(fracH_1d(STEP, p, X) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.9])
+def test_step_field_near_the_jump_matches_mpmath_to_round_off(eps):
+    # C02's probes; the reference takes x - a exactly, so only the kernel's
+    # own rounding separates the two
+    p = FracParams(eps)
+    x = 0.5 + probe_distances(1e-4, 1e-2, 32)
+    ref = sum(0.5 * s * kernel_mp_reference(p, x, dps=25, a=a)
+              for a, s in zip(STEP.positions, STEP.jump_sizes()))
+    assert np.max(np.abs(fracH_1d(STEP, p, x) / ref - 1.0)) < 1e-14
+
+
+def test_step_field_on_a_jump_is_refused():
+    from fracpm.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="lies on a jump"):
+        fracH_1d(STEP, FracParams(0.3), np.array([0.1, 2.5]))  # 2.5 is the jump at 0.5
 
 
 def test_step_field_is_odd():

@@ -61,6 +61,8 @@ def test_malformed_line():
         "geometry.delta = 0",
         "perturbation.kind = sawtooth",
         "probes.d_min = 0",
+        "probes.d_min = 1e-13",
+        "epsilon = 5e-324",
         "solver.dt = -0.1",
         "solver.scheme = leapfrog",
         "perturbation.taper = maybe",
@@ -136,7 +138,7 @@ def test_solver_keys_flow_through():
 
 
 def test_probe_window_ordering_enforced():
-    # parse only guards 0 < d_min < d_max; the two-decade span rule is
+    # parse only guards 1e-12 <= d_min < d_max; the two-decade span rule is
     # checked where the fit happens, not here
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "probes.d_min = 0.01\nprobes.d_max = 0.001\n")
