@@ -23,7 +23,7 @@ import numpy as np
 from . import fieldio, oracles, verify
 from .errors import BlowUpError, ConfigError, FracpmError
 from .evolution import evolve, initial_perturbation, precompute_singular_field
-from .geometry import ensure_offgrid, exponent_fit, probe_distances
+from .geometry import COLLISION_TOL, ensure_offgrid, exponent_fit, probe_distances
 from .grid import ScalarField
 from .runconfig import RunConfig, load_config
 from .spectral import alpha_from_fracfield
@@ -43,6 +43,14 @@ def _prepared(cfg: RunConfig):
 def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     grid, geom = _prepared(cfg)
     p = cfg.build_params(forbid_half=cfg.sign_check)
+    d = probe_distances(*cfg.probe_window())
+    pts = geom.outward_point(d, angle=cfg.probes_angle)
+    # distance along an outward ray falls behind d for good once it falls
+    reach = float(geom.distance(*pts[-1:].T)[0])
+    if abs(reach - d[-1]) > 1e-9 * d[-1] + COLLISION_TOL:
+        raise ConfigError(
+            f"probes.d_max: the outermost probe lies {reach:.3g}, not {d[-1]:.3g}, from the jump set"
+        )
     S = precompute_singular_field(grid, geom, p)
     alpha = alpha_from_fracfield(S)
     fieldio.write_field(
@@ -58,8 +66,6 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
         "diffusion_coefficient",
     )
 
-    d = probe_distances(*cfg.probe_window())
-    pts = geom.outward_point(d, angle=cfg.probes_angle)
     field_vals = np.abs(oracles.step_field(geom, p)(pts))
     alpha_vals = alpha_from_fracfield(field_vals)
 

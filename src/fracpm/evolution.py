@@ -11,11 +11,11 @@ a surface measure on the jump set where alpha vanishes, is dropped: H is
 stationary in the weak sense only (its strong residual grows with n).
 
 Default scheme is semi-implicit: alpha frozen at time n, the linear solve
-(I - dt * div(alpha grad)) w+ = w done by preconditioned CG. The operator
-is symmetric negative semidefinite (spectral derivatives with the odd-
-multiplier Nyquist convention), so I - dt*L is SPD for every dt and CG
-needs no step-size restriction. w is smooth in time for t > 0, so CG
-starts from an extrapolation of the previous steps. The divergence
+(I - dt * div(alpha grad)) w+ = w done by preconditioned CG, numpy only.
+The operator is symmetric negative semidefinite (spectral derivatives with
+the odd-multiplier Nyquist convention), so I - dt*L is SPD for every dt
+and CG needs no step-size restriction. w is smooth in time for t > 0, so
+CG starts from an extrapolation of the previous steps. The divergence
 multiplier vanishes at k = 0, so both schemes conserve the mean of w
 exactly, up to round-off: the semi-implicit step copies the k = 0
 coefficient of w, not solving it.
@@ -160,7 +160,8 @@ class SemiImplicitStepper:
     2D preconditions with the diagonal solve at mean(alpha), no FFT (a 2D
     five-point factor cost about seven FFT solves and saved no iterations).
     1D uses F (I + dt A_fd)^-1 F^-1, A_fd the conservative FD matrix on face
-    means of the first alpha received, factored once: alpha is dominated by
+    means of the first alpha received, factored once by the numpy
+    `linearop.ring_solver` (no scipy is loaded): alpha is dominated by
     the fixed singular field, so a stale factor costs iterations, not
     accuracy. If CG fails with it (alpha rough at the grid scale, where A_fd
     weighs the Nyquist modes the spectral operator annihilates), the step
@@ -174,22 +175,15 @@ class SemiImplicitStepper:
         self.grid = grid
         self.cfg = cfg
         self.last_iterations = 0  # matvecs of the last advance, failures included
-        self._fd_solve = False  # 2D, or 1D once CG has failed with the FD factor
+        # None: 1D, factor not yet built; False: 2D, or 1D after CG failed with it
+        self._fd_solve = None if grid.dim == 1 else False
         self._history = []  # rfftn of the last four inputs w, newest first
-        if grid.dim == 1:
-            import scipy.sparse.linalg  # noqa: F401  loaded in set-up, not in the first solve
-            self._fd_solve = None
 
     def _precond(self, alpha: np.ndarray):
         g, dt = self.grid, self.cfg.dt
         ops = spectral.spectral_ops(g)
         if self._fd_solve is None:
-            from scipy.sparse import eye
-            from scipy.sparse.linalg import splu
-
-            faces = 0.5 * (alpha + np.roll(alpha, 1))
-            m = eye(g.n) + dt * linearop.assemble_sparse(g, faces)
-            solve = splu(m.tocsc()).solve
+            solve = linearop.ring_solver(0.5 * (alpha + np.roll(alpha, 1)), dt / g.h**2)
             self._fd_solve = lambda r: ops.forward(solve(ops.inverse(r)))
         if self._fd_solve:
             return self._fd_solve

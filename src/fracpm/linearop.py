@@ -252,6 +252,48 @@ def assemble_sparse(grid: PeriodicGrid, alpha_faces):
     return coo_matrix((data, (rows, cols)), shape=(idx.size,) * 2).tocsr()
 
 
+def ring_solver(faces, c: float):
+    """solve(b) = M^-1 b for M = I + c D^T diag(faces) D (`assemble_sparse`
+    times c h^2 plus I), numpy only. The chain T with face 0 cut is factored
+    once as L diag(d) L^T; its multipliers lie in [0, 1), so both sweeps run
+    by recursive doubling, y[s:] += a_s y[:-s] with a_2s[i] = a_s[i] a_s[i-s].
+    Coefficients below 2^-53 become 0 and the first all-zero level ends the
+    list (at most ceil(log2 n) kept); the backward sweep is the exact transpose
+    of the forward one, so solve is SPD. Sherman-Morrison restores face 0,
+    c f_0 v v^T with v = e_0 - e_(n-1). One caller at a time: the sweeps run
+    in place on work buffers, with no temporaries."""
+    f = (c * np.asarray(faces, dtype=float)).tolist()
+    n = len(f)
+    d = [1.0 + a + b for a, b in zip([0.0] + f[1:], f[1:] + [0.0])]
+    for i in range(1, n):
+        d[i] -= f[i] / d[i - 1] * f[i]  # the multiplier f_i / d_(i-1) times f_i
+    inv_d, levels, a, s = 1.0 / np.array(d), [], np.array(f[1:]) / np.array(d[:-1]), 1
+    while s < n:  # a holds a_s[s:]
+        a[a < 2.0**-53] = 0.0
+        if not a.any():
+            break
+        levels.append((s, a))
+        a, s = a[s:] * a[:-s], 2 * s
+
+    y, part = np.empty(n), np.empty(n)
+    views = [(a, y[s:], y[:-s], part[s:]) for s, a in levels]
+
+    def chain(b):  # y = T^-1 b
+        y[:] = b
+        for a, ahead, behind, t in views:
+            np.multiply(a, behind, out=t)
+            ahead += t
+        np.multiply(y, inv_d, out=y)
+        for a, ahead, behind, t in reversed(views):
+            np.multiply(a, ahead, out=t)
+            behind += t
+        return y
+
+    z = chain(np.r_[1.0, np.zeros(n - 2), -1.0]).copy()
+    beta = f[0] / (1.0 + f[0] * (z[0] - z[-1]))
+    return lambda b: (r := chain(b)) - (beta * (r[0] - r[-1])) * z
+
+
 def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
     """Bottom eigenvalues of P A P, the operator of `spectrum_deflated`, by
     shift-invert on range(P). (P A P + I)^{-1} there is the solve of

@@ -381,11 +381,14 @@ def criterion_09():
     window = (norms < 0.1 * norms[0]) & (norms > 1e-3 * norms[0])
     rate, r2 = decay_rate_fit(ts[window], norms[window])
     rel = abs(rate - gam) / gam
+    discrete = np.log1p(gam * cfg.dt) / cfg.dt  # backward Euler damps it by 1 / (1 + gamma dt)
     passed = rel <= TOLERANCES["c09_rate_vs_gamma"]
     return bool(passed), {
         "gamma": float(gam),
         "fitted_rate": float(rate),
         "relative_gap": float(rel),
+        "discrete_rate": float(discrete),
+        "relative_gap_discrete": float(abs(rate - discrete) / discrete),
         "r2": float(r2),
         "epsilon": 0.3,
         "amplitude": 1e-3,

@@ -7,6 +7,7 @@ criterion that misses its pinned tolerance fails here, with no loosening.
 """
 
 import json
+import math
 
 from fracpm import verify
 
@@ -63,3 +64,15 @@ def test_c09_nonlinear_decay_rate_matches_gap():
 
 def test_c10_constant_coefficient_spectrum():
     check("C10")
+
+
+def test_c09_reports_the_schemes_own_rate():
+    """Report only: backward Euler damps a mode of rate gamma by
+    1 / (1 + gamma dt), so the fit is compared with ln(1 + gamma dt) / dt
+    too. Both details are present and identical on a rerun."""
+    first, second = (verify.run_criterion("C09")["details"] for _ in range(2))
+    assert first == second
+    dt = 2e-3
+    assert math.isclose(first["discrete_rate"], math.log1p(first["gamma"] * dt) / dt)
+    gap = abs(first["fitted_rate"] - first["discrete_rate"]) / first["discrete_rate"]
+    assert first["relative_gap_discrete"] == gap < first["relative_gap"]

@@ -277,16 +277,24 @@ def test_cli_import_loads_no_fit_or_quadrature_modules():
 
 
 def test_2d_fracfield_and_evolve_load_no_scipy(tmp_path):
+    """The 2D commands and 1D semi-implicit stepping (its FD preconditioner
+    is `linearop.ring_solver`) are numpy only."""
     fracfield = write_cfg(tmp_path, BASE_2D, "fracfield.cfg")
     evolve = write_cfg(
         tmp_path,
         BASE_2D + "perturbation.kind = noise\nsolver.dt = 1e-4\nsolver.t_final = 3e-4\n",
         "evolve.cfg",
     )
+    evolve_1d = write_cfg(
+        tmp_path,
+        BASE_1D + "perturbation.kind = noise\nsolver.dt = 1e-3\nsolver.t_final = 3e-3\n",
+        "evolve_1d.cfg",
+    )
     child_peak_mb(
         "import sys\nfrom fracpm.cli import main\n"
         + main_call("fracfield", fracfield, tmp_path / "f")
         + main_call("evolve", evolve, tmp_path / "e")
+        + main_call("evolve", evolve_1d, tmp_path / "e1")
         + NO_SCIPY
     )
 
@@ -306,16 +314,12 @@ def test_criterion_clock_starts_after_the_scipy_imports():
 
 @pytest.mark.parametrize(
     "command, text, setup",
-    [
-        ("evolve", BASE_1D + "solver.dt = 1e-3\nsolver.t_final = 3e-3\n",
-         "fracpm.evolution:precompute_singular_field"),
-        ("spectrum", BASE_1D.replace("256", "64"), "fracpm.linearop:face_alpha"),
-    ],
-    ids=("evolve", "spectrum"),
+    [("spectrum", BASE_1D.replace("256", "64"), "fracpm.linearop:face_alpha")],
+    ids=("spectrum",),
 )
 def test_1d_scipy_loads_by_the_end_of_set_up(tmp_path, command, text, setup):
-    """The 1D stepper's splu and the eigensolve load scipy before the set-up
-    call returns, so the import is not timed as part of the solve."""
+    """The eigensolve loads scipy before the set-up call returns, so the
+    import is not timed as part of the solve."""
     cfg = write_cfg(tmp_path, text)
     module, name = setup.split(":")
     child_peak_mb(
@@ -444,6 +448,26 @@ def test_sign_check_above_its_difference_window_exits_2_before_writing(tmp_path,
     assert main(["fracfield", "--config", cfg, "--out", str(out)]) == 2
     assert "probes.sign_check needs probes.d_min < 0.01" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "base, d_max, reach",
+    [(BASE_1D.replace("256", "64"), 1.9, "0.1"), (BASE_2D, 0.8, "0.418")],
+    ids=("1d", "2d"),
+)
+def test_probe_beyond_the_jump_set_exits_2_before_writing(tmp_path, capsys, base, d_max, reach):
+    """Past the next jump (1D) or across the box (2D) the outermost probe is
+    not at distance d_max from the jump set, so the fits would read a false
+    d; the run exits 2 and names probes.d_max. A window inside it runs."""
+    window = "probes.d_min = 1e-3\nprobes.d_max = {}\n"
+    out = tmp_path / "o"
+    out.mkdir()
+    cfg = write_cfg(tmp_path, base + window.format(d_max))
+    assert main(["fracfield", "--config", cfg, "--out", str(out)]) == 2
+    assert f"probes.d_max: the outermost probe lies {reach}, not " in capsys.readouterr().err
+    assert not any(out.iterdir())
+    inside = write_cfg(tmp_path, base + window.format(0.4), "in.cfg")
+    assert main(["fracfield", "--config", inside, "--out", str(tmp_path / "in")]) == 0
 
 
 def test_excluded_epsilon_exits_3(tmp_path):

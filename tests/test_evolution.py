@@ -240,13 +240,13 @@ def test_fd_preconditioner_iterations_at_c09_config():
 
 def _count_fd_builds(monkeypatch):
     builds = []
-    assemble = evo.linearop.assemble_sparse
+    build = evo.linearop.ring_solver
 
-    def counted(grid, faces):
+    def counted(faces, c):
         builds.append(1)
-        return assemble(grid, faces)
+        return build(faces, c)
 
-    monkeypatch.setattr(evo.linearop, "assemble_sparse", counted)
+    monkeypatch.setattr(evo.linearop, "ring_solver", counted)
     return builds
 
 

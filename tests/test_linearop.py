@@ -420,3 +420,53 @@ def test_component_indicators_partition(circle_64):
     assert np.array_equal(np.unique(ind), [0.0, 1.0])
     assert np.max(ind.sum(axis=1)) == 1.0  # disjoint supports
     assert ind.sum() == grid.n**2  # they tile the grid
+
+
+def _ring_faces_of(kind, n, rng):
+    faces = rng.uniform(1e-6, 1.0, n)
+    if kind == "zeros":  # alpha underflows to 0 where v^2 overflows
+        faces[rng.random(n) < 0.3] = 0.0
+        faces[1] = 0.0
+    elif kind == "cut":
+        faces[0] = 0.0
+    return faces
+
+
+@pytest.mark.parametrize("kind", ["random", "zeros", "cut"])
+@pytest.mark.parametrize("n", [4, 6, 64, 512, 1024])
+def test_ring_solver_matches_the_dense_stencil(n, kind):
+    """solve inverts I + c h^2 A, A = assemble_sparse (the one stencil): its
+    normwise backward error ||b - M x|| / (||M|| ||x|| + ||b||) is at round-off
+    for every stiffness, and it is symmetric. The plain ratio ||b - M x|| / ||b||
+    grows like c eps for any solver, LAPACK's dense solve included."""
+    grid = PeriodicGrid(1, n)
+    rng = np.random.default_rng(n)
+    faces = _ring_faces_of(kind, n, rng)
+    stencil = grid.h**2 * lo.assemble_sparse(grid, faces).toarray()
+    for c in (1e-3, 1.0, 131.0, 1e6, 1e9):
+        M = np.eye(n) + c * stencil
+        solve = lo.ring_solver(faces, c)
+        b, u, v = rng.standard_normal((3, n))
+        x = solve(b)
+        norm_m = np.linalg.norm(M, np.inf)  # within 2x of ||M||_2 for this diagonally dominant M
+        residual = np.linalg.norm(b - M @ x)
+        assert residual <= 1e-10 * (norm_m * np.linalg.norm(x) + np.linalg.norm(b)), (c, residual)
+        # forward error against the dense solve, within the condition number
+        x_dense = np.linalg.solve(M, b)
+        assert np.linalg.norm(x - x_dense) <= 1e-10 * norm_m * np.linalg.norm(x_dense)
+        su, sv = solve(u), solve(v)
+        assert abs(u @ sv - v @ su) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(sv)
+
+
+def test_ring_solver_is_positive_definite_and_leaves_its_input():
+    """With its truncated levels, solve is still an SPD operator: the matrix
+    of its columns is symmetric with positive eigenvalues."""
+    n, c = 64, 1e6
+    faces = _ring_faces_of("zeros", n, np.random.default_rng(1))
+    solve = lo.ring_solver(faces, c)
+    b = np.eye(n)[3].copy()
+    cols = np.stack([solve(e) for e in np.eye(n)], axis=1)
+    assert np.max(np.abs(cols - cols.T)) <= 1e-13 * np.max(np.abs(cols))
+    assert np.min(np.linalg.eigvalsh(0.5 * (cols + cols.T))) > 0
+    solve(b)
+    assert np.array_equal(b, np.eye(n)[3])
