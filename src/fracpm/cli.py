@@ -51,7 +51,8 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
         raise ConfigError(
             f"probes.d_max: the outermost probe lies {reach:.3g}, not {d[-1]:.3g}, from the jump set"
         )
-    S = precompute_singular_field(grid, geom, p)
+    field = oracles.step_field(geom, p)  # one evaluator for the grid, probes and sign check
+    S = precompute_singular_field(grid, geom, p, field=field)
     alpha = alpha_from_fracfield(S)
     fieldio.write_field(
         os.path.join(outdir, "singular.field"),
@@ -66,7 +67,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
         "diffusion_coefficient",
     )
 
-    field_vals = np.abs(oracles.step_field(geom, p)(pts))
+    field_vals = np.abs(field(pts))
     alpha_vals = alpha_from_fracfield(field_vals)
 
     fits = []
@@ -88,7 +89,7 @@ def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     report = {"epsilon": p.epsilon, "dimension": cfg.dimension, "fits": fits}
 
     if cfg.sign_check:
-        report["sign_check"] = oracles.concavity(geom, p, d, field_vals, cfg.probes_angle)
+        report["sign_check"] = oracles.concavity(geom, p, field, d, field_vals, cfg.probes_angle)
 
     fieldio.write_csv(
         os.path.join(outdir, "probes.csv"),

@@ -12,24 +12,31 @@ e^{-t|k|^2} and applying the theta transform below the splitting parameter
 t0 turns the series into a short-range incomplete-gamma integral over the
 curve plus a rapidly converging reciprocal-lattice sum.
 
-The short-range integral is near-singular at distance d from the curve and
-takes one admissible-panel rule (after Helsing & Ojala, J. Comput. Phys.
-227:2899, 2008). Every curve exposes point(t) -> (xy, speed) on a parameter
-of period 1 and `breaks`, the edges of its smooth pieces. For each point
-and periodic image, a panel starts as one piece, is bisected while the
-point is closer to its midpoint than the panel's arclength, and is dropped
-once it lies beyond the kernel's reach; the survivors take 16-point
-Gauss-Legendre. The quadrature visits the nine images of a point offset
+The short-range integral is near-singular at distance d from the curve
+and takes one admissible-panel rule (after Helsing & Ojala, J. Comput.
+Phys. 227:2899, 2008). Every curve exposes point(t) -> (xy, speed) on a
+parameter of period 1 and `breaks`, the edges of its smooth pieces. Each
+(point image, panel) pair starts at one piece; the panel is bisected
+while the point is closer to its midpoint than its arclength, and
+dropped once it lies beyond the kernel's reach; the survivors take
+16-point Gauss-Legendre. Pairs share panels: the halves of each distinct
+split panel are built once per level and every pair splitting it points
+at them, in the pair order of a panel per pair, so every sum is
+unchanged. The field row (no derivatives) takes 0 with no power and no Q
+lookup at nodes where `special.GammaQ` is exactly 0 (u0 >=
+`Q_ZERO_FROM`). The quadrature visits the nine images of a point offset
 by 0 or +-2 along each axis (`_IMAGES`), not only the nearest: a piece
 longer than about 0.43 (1 less the reach 4 sqrt(t0)) can be in reach of
-two images of one point. Points are wrapped into the box first, and for a
-curve drawn in the box [-1, 1]^2, the range the config parser enforces,
-the nine hold every image in reach. The work grows like log(1/d) and the
-result is accurate to round-off at any d > 0. A panel still splitting
-after 40 bisections means the point is on the curve (closer than about
-1e-12), which raises ConfigError. The reciprocal sum is separable:
-Re sum (E_x C) * E_y with E_a = e^{i pi x_a k} over one axis of 87
-wavenumbers. The evaluator builds one `special.GammaQ` table of Q per part
+two images of one point. Points are wrapped into the box first, and for
+a curve drawn in the box [-1, 1]^2, the range the config parser
+enforces, the nine hold every image in reach. The work grows like
+log(1/d) and the result is accurate to round-off at any d > 0. A panel
+still splitting after 40 bisections means the point is on the curve
+(closer than about 1e-12), which raises ConfigError. The reciprocal sum
+is separable: Re sum (E_x C) * E_y with E_a = e^{i pi x_a k} over one
+axis of 87 wavenumbers, E_x C and E_y formed once per distinct
+coordinate of a block of points (a lattice has n per axis) and gathered
+per point. The evaluator builds one `special.GammaQ` table of Q per part
 (exponent 1 - eps/2, and eps/2).
 
 Curve geometry is exact. A circle's signed distance is one hypot to the
@@ -59,7 +66,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import periodic_delta
 from .grid import FracParams
-from .special import GammaQ, gamma, j0
+from .special import Q_ZERO_FROM, GammaQ, gamma, j0
 
 _GAMMA_TAIL = 36.0  # e^-36 ~ 2e-16: where incomplete-gamma tails are dropped
 # the periodic images (mx, my) of each point in the short-range quadrature
@@ -247,19 +254,25 @@ class EwaldStepField2D:
         eps = self.p.epsilon
         q = 0.5 * np.pi * rho
         u0 = q * q / self.t0
+        if not derivs:  # Q is exactly 0 from Q_ZERO_FROM up: no power, no lookup there
+            near = u0 < Q_ZERO_FROM
+            field = np.zeros(rho.shape)
+            field[near] = q[near] ** (eps - 2.0) * (self.gamma_a_short * self.q_short(u0[near]))
+            return [field]
+        # e^-u0 is not 0 where Q is, so the derivative rows take every node
         gu = self.gamma_a_short * self.q_short(u0)
-        out = [q ** (eps - 2.0) * gu]
-        if derivs:
-            ee = np.where(u0 < 700.0, u0 ** (self.a_short - 1.0) * np.exp(-u0), 0.0)
-            out.append(0.5 * np.pi * (
+        ee = np.where(u0 < 700.0, u0 ** (self.a_short - 1.0) * np.exp(-u0), 0.0)
+        return [
+            q ** (eps - 2.0) * gu,
+            0.5 * np.pi * (
                 (eps - 2.0) * q ** (eps - 3.0) * gu
                 - (2.0 / self.t0) * q ** (eps - 1.0) * ee
-            ))
-            out.append((0.5 * np.pi) ** 2 * (
+            ),
+            (0.5 * np.pi) ** 2 * (
                 (eps - 2.0) * (eps - 3.0) * q ** (eps - 4.0) * gu
                 - (2.0 / self.t0) * q ** (eps - 2.0) * ee * (eps - 3.0 - 2.0 * u0)
-            ))
-        return out
+            ),
+        ]
 
     def _panels(self, a, b):
         """Parameter panels [a, b]: Gauss-Legendre nodes, arclength weights,
@@ -302,23 +315,33 @@ class EwaldStepField2D:
                 row += np.bincount(owner, np.sum(w * vals, axis=1), pts.shape[0])
             if not np.any(split):
                 return np.pi / (4.0 * self.gamma_half_eps) * acc
-            tgt, idx = np.concatenate([tgt[split], tgt[split]]), idx[split]
-            mid = 0.5 * (a[idx] + b[idx])
-            panels = self._panels(np.concatenate([a[idx], mid]), np.concatenate([mid, b[idx]]))
-            idx = np.arange(tgt.size)
+            # the halves of each distinct split panel, built once for all its pairs
+            parent, child = np.unique(idx[split], return_inverse=True)
+            tgt = np.concatenate([tgt[split], tgt[split]])
+            idx = np.concatenate([child, child + parent.size])
+            a, b = a[parent], b[parent]
+            mid = 0.5 * (a + b)
+            panels = self._panels(np.concatenate([a, mid]), np.concatenate([mid, b]))
         raise ConfigError("evaluation point lies on the curve")
 
     def _long_parts(self, pts, derivs):
         """Reciprocal-lattice sum Re sum C e^{i pi k.x}, same rows as the
         short part, through the separable phases E_x and E_y."""
         ik = 1j * np.pi * self.k
-        ex = np.exp(np.outer(pts[:, 0], ik))
-        ey = np.exp(np.outer(pts[:, 1], ik))
-        exc = ex @ self.long_coeff
+        # phases and products per distinct coordinate, gathered per point
+        xs, ix = np.unique(pts[:, 0], return_inverse=True)
+        ys, iy = np.unique(pts[:, 1], return_inverse=True)
+        # numpy sends a one-row product to BLAS gemv, which rounds apart from
+        # gemm: a block of several points on one x keeps two rows, so that a
+        # point's value does not depend on the other x in its block
+        xs = np.resize(xs, min(len(pts), max(xs.size, 2)))
+        ex = np.exp(np.outer(xs, ik))
+        ey = np.exp(np.outer(ys, ik))[iy]
+        exc = (ex @ self.long_coeff)[ix]
         rows = [np.sum(exc * ey, axis=1)]
         if derivs:
-            dxc = (ex * ik) @ self.long_coeff
-            dxxc = (ex * ik**2) @ self.long_coeff
+            dxc = ((ex * ik) @ self.long_coeff)[ix]
+            dxxc = ((ex * ik**2) @ self.long_coeff)[ix]
             rows += [
                 np.sum(dxc * ey, axis=1),
                 np.sum(exc * (ey * ik), axis=1),

@@ -96,17 +96,18 @@ class Trajectory:
 
 
 def precompute_singular_field(
-    grid: PeriodicGrid, geom, p: FracParams, offsets=(0.0, 0.0)
+    grid: PeriodicGrid, geom, p: FracParams, offsets=(0.0, 0.0), field=None
 ) -> np.ndarray:
     """The exact fractional gradient of H at (possibly face-shifted) nodes.
 
     One route in 1D and 2D: `oracles.step_field` (the kernel series in 1D,
     `EwaldStepField2D` in 2D, accurate at any positive distance from the
-    jump set) evaluated at every node. offsets are per-axis node shifts in
-    units of h; the assembler uses -1/2 for face grids.
+    jump set) evaluated at every node; field is that step field, when the
+    caller has one. offsets are per-axis node shifts in units of h; the
+    assembler uses -1/2 for face grids.
     """
     pts = np.stack([ax + o * grid.h for ax, o in zip(grid.nodes(), offsets)], axis=-1)
-    return step_field(geom, p)(pts)
+    return (step_field(geom, p) if field is None else field)(pts)
 
 
 def diffusion_coefficient(grid, p, S, w: ScalarField) -> np.ndarray:

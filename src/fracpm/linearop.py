@@ -33,9 +33,11 @@ def face_alpha(grid: PeriodicGrid, geom, p: FracParams) -> np.ndarray:
     between node i - e_a and node i.
     """
     from .evolution import precompute_singular_field
+    from .oracles import step_field
 
+    field = step_field(geom, p)  # one evaluator for every axis
     return np.stack([
-        alpha_from_fracfield(precompute_singular_field(grid, geom, p, offsets=o))
+        alpha_from_fracfield(precompute_singular_field(grid, geom, p, offsets=o, field=field))
         for o in -0.5 * np.eye(grid.dim)  # half a cell back along one axis
     ])
 

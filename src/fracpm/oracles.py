@@ -60,44 +60,45 @@ def alpha_H(geom, p: FracParams, x) -> np.ndarray:
     return alpha_from_fracfield(step_field(geom, p)(np.asarray(x, dtype=float)))
 
 
-def alpha_H_and_derivatives(geom, p: FracParams, x):
+def alpha_H_and_derivatives(geom, p: FracParams, x, field=None):
     """alpha = 1/(1 + F^2) on the step field F, and its second differences.
 
     x has shape (..., dim). second is the sum over the axes of the central
     second differences: alpha'' in 1D, the five-point Laplacian in 2D (not a
     derivative along the ray). Every stencil step is h = FD_FRACTION * d(x),
-    tied to the local distance so the stencil never straddles the jump set.
+    tied to the local distance so the stencil never straddles the jump set,
+    and F is evaluated on all 1 + 2 dim stencil point sets in one call.
+    field is the `step_field` of geom at epsilon, when the caller has one.
     epsilon = 1/2 is rejected: the sign analysis this feeds degenerates
     there.
 
     Returns (alpha, second).
     """
     p = FracParams(p.epsilon, forbid_half=True)
-    field = step_field(geom, p)
-
-    def alpha_at(pts):
-        return alpha_from_fracfield(field(pts))
-
+    field = step_field(geom, p) if field is None else field
     x = np.asarray(x, dtype=float)
     h = FD_FRACTION * geom.distance(*np.moveaxis(x, -1, 0))
-    alpha = alpha_at(x)
+    steps = [h[..., None] * e for e in np.eye(x.shape[-1])]
+    alpha, *shifted = alpha_from_fracfield(
+        field(np.stack([x] + [y for s in steps for y in (x + s, x - s)]))
+    )
     pairs = 0.0
-    for e in np.eye(x.shape[-1]):
-        step = h[..., None] * e
-        pairs = pairs + alpha_at(x + step) + alpha_at(x - step)
+    for plus, minus in zip(shifted[0::2], shifted[1::2]):
+        pairs = pairs + plus + minus
     return alpha, (pairs - 2.0 * x.shape[-1] * alpha) / (h * h)
 
 
-def concavity(geom, p: FracParams, d, field_abs, angle: float = 0.0) -> dict:
-    """The concavity sign of alpha = 1/(1 + F^2), from |F| = field_abs at
-    distances d along angle. alpha ~ d^gamma, gamma = -2 s with s the leading
-    power of |F| = a d^s + c + o(1), so alpha'' leads with sign(gamma
-    (gamma - 1)); all_correct says it equals sign(1 - 2 eps). The second
+def concavity(geom, p: FracParams, field, d, field_abs, angle: float = 0.0) -> dict:
+    """The concavity sign of alpha = 1/(1 + F^2), F = field the `step_field`
+    of geom, from |F| = field_abs at distances d along angle. alpha ~
+    d^gamma, gamma = -2 s with s the leading power of |F| = a d^s + c +
+    o(1), so alpha'' leads with sign(gamma (gamma - 1)); all_correct says it
+    equals sign(1 - 2 eps). The second
     differences on SIGN_WINDOW (cut below at min d) are only reported, as
     min_signed_value: their subleading term can dominate."""
     gamma = -2.0 * power_constant_fit(d, field_abs)[0]
     d_sign = probe_distances(max(float(np.min(d)), SIGN_WINDOW[0]), SIGN_WINDOW[1], 8)
-    _, second = alpha_H_and_derivatives(geom, p, geom.outward_point(d_sign, angle=angle))
+    _, second = alpha_H_and_derivatives(geom, p, geom.outward_point(d_sign, angle=angle), field)
     want = float(np.sign(1.0 - 2.0 * p.epsilon))
     return {
         "expected_sign": want,

@@ -11,7 +11,8 @@
 * GammaQ(a)(x), 0 < a <= 1, x >= 0: degree-8 Taylor polynomials on cells of
   width 1/32, built once per a: of the entire x^-a P(a, x) below x = 1, of Q
   above, its cell-centre values Kahan sums of the cell integrals of Q' down
-  from x = 48 (Q < 1e-21; zero beyond). A gather and a Horner loop, a few ulps.
+  from x = 48 (Q < 1e-21; exactly zero beyond, `Q_ZERO_FROM`). A Horner loop
+  over gathered coefficient rows, a few ulps.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def j0(x) -> np.ndarray:
     return out
 
 
-_Q_CELL, _Q_SPLIT, _Q_TOP, _Q_DEGREE = 1.0 / 32.0, 1.0, 48.0, 8
+_Q_CELL, _Q_SPLIT, _Q_DEGREE = 1.0 / 32.0, 1.0, 8
+Q_ZERO_FROM = 48.0  # GammaQ returns exactly 0 from here up (Q < 1e-21)
 
 
 class GammaQ:
@@ -93,11 +95,11 @@ class GammaQ:
 
     def __init__(self, a: float):
         self.a = a = float(a)
-        h, k = _Q_CELL, np.arange(_Q_DEGREE + 1.0)
-        cells, split = round(_Q_TOP / h), round(_Q_SPLIT / h)
+        h, k, top = _Q_CELL, np.arange(_Q_DEGREE + 1.0), Q_ZERO_FROM
+        cells, split = round(top / h), round(_Q_SPLIT / h)
         centre = (np.arange(cells) + 0.5) * h
         fact = np.cumprod(np.maximum(k, 1.0))
-        coef = np.zeros((k.size, cells + 1))  # the last cell is Q = 0, past _Q_TOP
+        coef = np.zeros((k.size, cells + 1))  # the last cell is Q = 0, past top
         # Gamma(a) x^-a P(a, x) = int_0^1 t^(a-1) e^(-x t) dt, and its k-th
         # derivative is (-1)^k times that moment of t^(a+k-1), which is
         # e^-x / b (1 + x / (b+1) (1 + x / (b+2) (...))), b = a + k, summed inside out
@@ -116,9 +118,9 @@ class GammaQ:
         g *= np.exp(-c) * c ** (a - 1.0) / gamma(a)
         half = g * (h / 2.0) ** k[1:, None] / k[1:, None]  # int_c^(c+h/2), per term
         right, whole = half.sum(axis=0), 2.0 * half[0::2].sum(axis=0)
-        # Q(c) = Q(_Q_TOP), asymptotically, plus the cell integrals above c
-        tail = np.cumprod(np.append(1.0, (a - np.arange(1.0, 20.0)) / _Q_TOP))
-        total, carry = math.exp(-_Q_TOP) * _Q_TOP ** (a - 1.0) / gamma(a) * tail.sum(), 0.0
+        # Q(c) = Q(top), asymptotically, plus the cell integrals above c
+        tail = np.cumprod(np.append(1.0, (a - np.arange(1.0, 20.0)) / top))
+        total, carry = math.exp(-top) * top ** (a - 1.0) / gamma(a) * tail.sum(), 0.0
         for i in range(c.size - 1, -1, -1):
             coef[0, split + i] = total + right[i]
             y = whole[i] - carry
@@ -129,9 +131,16 @@ class GammaQ:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        y = x * (1.0 / _Q_CELL)
-        cell = np.minimum(y.astype(np.intp), self._cells)
-        v = _horner(self._coef.take(cell, axis=1), y - cell - 0.5)
+        # clamped before the cast, which overflows from about 2.9e17 up
+        y = np.minimum(x * (1.0 / _Q_CELL), self._cells)
+        cell = y.astype(np.intp)
+        t = y - cell - 0.5
+        # _horner's arithmetic, gathering one coefficient row at a time
+        v = np.zeros(t.shape)
+        v += self._coef[-1].take(cell)
+        for row in self._coef[-2::-1]:
+            v *= t
+            v += row.take(cell)
         low = cell < self._split
         if low.any():
             v[low] = 1.0 - x[low] ** self.a * v[low]

@@ -255,9 +255,10 @@ def criterion_05():
         # sign legs: the concavity sign of the leading term of alpha
         for eps in (0.3, 0.45, 0.55, 0.7):
             pe = FracParams(eps)
-            field = np.abs(oracles.step_field(g, pe)(g.outward_point(d_fit, angle=0.37)))
+            F = oracles.step_field(g, pe)
+            field = np.abs(F(g.outward_point(d_fit, angle=0.37)))
             alpha = spectral.alpha_from_fracfield(field)
-            sign = oracles.concavity(g, pe, d_fit, field, angle=0.37)
+            sign = oracles.concavity(g, pe, F, d_fit, field, angle=0.37)
             gamma = sign["gamma"]
             leg_ok = bool(
                 sign["all_correct"]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from fracpm.errors import ConfigError
 from fracpm.evolution import precompute_singular_field
 from fracpm.geometry import JumpSet2D
 from fracpm.grid import FracParams, PeriodicGrid
+from fracpm.special import Q_ZERO_FROM
 
 from conftest import child_peak_mb, offgrid
 
@@ -181,6 +183,96 @@ def test_panel_rule_converges_in_the_order(monkeypatch):
         for key in want:
             err = np.abs(out[key] - base[key]) / np.abs(base[key])
             assert np.max(err) < 1e-9, (order, key)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def images_in_reach(ev, pts):
+    """How many of the nine periodic images of each point come within the
+    kernel's reach of the curve (sampled at 2048 parameters)."""
+    on_curve, _ = ev.curve.point(np.arange(2048) / 2048)
+    count = np.zeros(len(pts), dtype=int)
+    for image in curves._IMAGES:
+        gap = (pts - image)[:, None, :] - on_curve
+        count += np.min(np.hypot(gap[..., 0], gap[..., 1]), axis=1) < ev.rho_max
+    return count
+
+
+def seven_knot_spline():
+    th = 2.0 * np.pi * np.arange(7) / 7
+    return SplineCurve(np.stack([0.5 * np.cos(th), 0.4 * np.sin(th)], axis=-1))
+
+
+@pytest.mark.parametrize("make_curve", [lambda: Circle((0.03, -0.02), 0.5), seven_knot_spline],
+                         ids=("shifted-circle", "spline"))
+def test_one_call_equals_each_point_alone(make_curve):
+    """A 16^2 lattice in one call against each point alone, on the field,
+    grad and lap rows. The lattice has a border band where two periodic
+    images of a point are in reach. The short part, where pairs share
+    panels and zeros are skipped, agrees bit for bit. The long part agrees
+    to 1e-15 of its largest value, not bit for bit: numpy sends a one-row
+    product to BLAS gemv, which rounds apart from the gemm of a block with
+    several distinct coordinates. Several points on one x take gemm, so the
+    16 points on the lattice's first x agree bit for bit alone."""
+    ev = EwaldStepField2D(make_curve(), FracParams(0.3))
+    X, Y = PeriodicGrid(2, 16).nodes()
+    pts = np.stack([X + 0.01, Y + 0.003], axis=-1).reshape(-1, 2)
+    assert np.max(images_in_reach(ev, pts)) >= 2
+    assert np.all(pts[:16, 0] == pts[0, 0])
+    assert same_bits(ev._long_parts(pts[:16], True), ev._long_parts(pts, True)[:, :16])
+    for derivs in (False, True):
+        alone = np.concatenate([ev._short_parts(p[None], derivs) for p in pts], axis=1)
+        assert same_bits(ev._short_parts(pts, derivs), alone), derivs
+        long = ev._long_parts(pts, derivs)
+        alone = np.concatenate([ev._long_parts(p[None], derivs) for p in pts], axis=1)
+        assert np.all(np.max(np.abs(alone - long), axis=1) <= 1e-15 * np.max(np.abs(long), axis=1))
+    want = ("field", "grad", "lap")
+    whole = ev.evaluate(pts, want)
+    alone = [ev.evaluate(p, want) for p in pts]
+    for key in want:
+        err = np.max(np.abs(np.stack([out[key] for out in alone]) - whole[key]))
+        assert err <= 1e-15 * np.max(np.abs(whole[key])), key
+
+
+def test_one_lattice_evaluation_builds_each_panel_once_in_little_memory(monkeypatch):
+    """One 64^2 evaluation on the fracfield-2d config (circle r = 0.5 moved
+    off the lattice, eps = 0.3) builds 1,248 panel rows, each split panel
+    once for all its (point image, panel) pairs, where building one per
+    pair made 31,754. Its tracemalloc peak stays under 4 MB (3.05 MB; 6.2
+    MB with a panel per pair and the (9, N) gather of GammaQ coefficients)."""
+    grid = PeriodicGrid(2, 64)
+    geom = offgrid(JumpSet2D(Circle((0.0, 0.0), 0.5)), grid)
+    ev = EwaldStepField2D(geom.curve, FracParams(0.3))
+    pts = np.stack(grid.nodes(), axis=-1)
+    built = []
+    panels = ev._panels
+    monkeypatch.setattr(ev, "_panels", lambda a, b: built.append(a.size) or panels(a, b))
+    field = ev.evaluate(pts)["field"]
+    assert sum(built) <= 2000
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        assert same_bits(ev.evaluate(pts)["field"], field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_field_row_skips_exact_zeros_bit_for_bit(evaluator):
+    """Without derivatives, nodes at u0 >= Q_ZERO_FROM take 0 with no power
+    and no GammaQ lookup. On nodes straddling that edge the field row equals
+    the first row of the derivative path, which evaluates every node."""
+    edge = 2.0 * np.sqrt(Q_ZERO_FROM * evaluator.t0) / np.pi  # u0 = Q_ZERO_FROM here
+    rho = np.concatenate([
+        edge * (1.0 + np.linspace(-1e-3, 1e-3, 1997)),
+        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)],
+    ]).reshape(-1, 16)
+    field = evaluator._psi_terms(rho, False)[0]
+    assert same_bits(field, evaluator._psi_terms(rho, True)[0])
+    assert 0 < np.count_nonzero(field) < field.size
 
 
 def test_point_on_the_curve_is_rejected():

@@ -106,6 +106,34 @@ def test_alpha_second_derivative_against_analytic_route():
     assert np.max(np.abs(dd_alpha - exact) / np.abs(exact)) < 1e-3
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_in_one_call_equals_a_call_per_point_set(dim):
+    """alpha_H_and_derivatives evaluates the step field it is given once,
+    on all 1 + 2 dim stencil point sets; alpha and the second differences
+    are those of one call per set, bit for bit."""
+    from fracpm.curves import Circle
+    from fracpm.geometry import JumpSet2D
+    from fracpm.oracles import FD_FRACTION, step_field
+    from fracpm.spectral import alpha_from_fracfield
+
+    geom = STEP if dim == 1 else JumpSet2D(Circle((0.01, 0.0), 0.5))
+    p = FracParams(0.3)
+    x = geom.outward_point(probe_distances(1e-3, 1e-2, 8), angle=0.37)
+    field = step_field(geom, p)
+    calls = []
+    alpha, second = alpha_H_and_derivatives(
+        geom, p, x, lambda pts: calls.append(pts.shape) or field(pts)
+    )
+    assert calls == [(1 + 2 * dim, *x.shape)]
+    h = FD_FRACTION * geom.distance(*np.moveaxis(x, -1, 0))
+    pairs = 0.0
+    for e in np.eye(dim):
+        step = h[..., None] * e
+        pairs = pairs + alpha_from_fracfield(field(x + step)) + alpha_from_fracfield(field(x - step))
+    assert np.array_equal(alpha, alpha_from_fracfield(field(x)))
+    assert np.array_equal(second, (pairs - 2.0 * dim * alpha) / (h * h))
+
+
 def test_alpha_rejects_the_excluded_parameter():
     from fracpm.errors import ExcludedParameterError
 

@@ -14,7 +14,7 @@ import scipy.special as sc
 
 from fracpm.grid import FracParams
 from fracpm.kernel import ClausenEvaluator
-from fracpm.special import GammaQ, beta, j0, zeta
+from fracpm.special import Q_ZERO_FROM, GammaQ, beta, j0, zeta
 
 mpmath.mp.dps = 30
 ULP = np.finfo(float).eps
@@ -55,6 +55,20 @@ def test_gamma_q_within_ulps_of_one(eps):
                          else mpmath.gammainc(a, v, mpmath.inf, regularized=True), x)
         assert np.max(np.abs(got - exact)) <= 4 * ULP, a
         assert np.max(np.abs(got - sc.gammaincc(a, x))) <= 16 * ULP, a
+
+
+def test_gamma_q_is_exactly_zero_from_its_top():
+    """Q is +0.0 from Q_ZERO_FROM = 48 up, also where x / cell width passes
+    the index range (about 2.9e17) and at inf; 47.99 keeps its table value,
+    and a scalar x takes the same route."""
+    top = np.array([Q_ZERO_FROM, 1e18, 1e300, np.inf])
+    for a, below in ((0.15, 8.471186329692977e-24), (0.6, 2.038276978316161e-22),
+                     (1.0, 1.4394872198948339e-21)):
+        q = GammaQ(a)
+        got = q(np.concatenate([[47.99], top]))
+        assert got[0] == below and float(q(47.99)) == below
+        assert np.array_equal(got[1:], np.zeros(4)) and not np.signbit(got[1:]).any()
+        assert float(q(0.5)) == q(np.array([0.5]))[0]
 
 
 def test_beta_matches_scipy():
