@@ -1,8 +1,8 @@
 """Time evolution of the regular part w in the H + w splitting.
 
 The step field H never enters a transform: its fractional gradient S comes
-from the exact oracle `oracles.step_field` once, at every node, and each
-step only transforms the smooth part w. The evolved equation is
+from the exact oracle `oracles.step_field` once, at every node. Each step
+forward-transforms w once, for the stepper, alpha and the energy. It evolves
 
     w_t = div(alpha * grad w),   alpha = 1 / (1 + (S + Fw)^2),
 
@@ -36,6 +36,7 @@ from . import linearop, spectral
 
 
 MAX_STEPS = 10**6  # round(t_final / dt) ceiling
+MAX_LINEAR_ITER = 10_000  # CG iterations per solve; 20x the default
 MAX_DT = 1.0  # 10x the decay time 1/pi^2 of the box's slowest mode: a longer step resolves nothing
 MAX_SNAPSHOT_FLOATS = 2**27  # 1 GiB of float64 snapshots held by one run
 
@@ -58,6 +59,8 @@ class SolverConfig:
             raise ConfigError("linear-solve tolerance must lie in (0, 1e-6]")
         if self.max_linear_iter < 1 or self.snapshot_stride < 1:
             raise ConfigError("iteration counts and strides must be positive")
+        if self.max_linear_iter > MAX_LINEAR_ITER:
+            raise ConfigError(f"solver.max_linear_iter exceeds the {MAX_LINEAR_ITER} iteration ceiling")
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
 
@@ -110,10 +113,28 @@ def precompute_singular_field(
     return (step_field(geom, p) if field is None else field)(pts)
 
 
-def diffusion_coefficient(grid, p, S, w: ScalarField) -> np.ndarray:
-    """alpha of S + fractional gradient of w (signed 1D, magnitude 2D)."""
-    frac = spectral.frac_derivative_1d if grid.dim == 1 else spectral.frac_gradient_2d
-    return spectral.alpha_from_fracfield(S + frac(w, p).values)
+def diffusion_coefficient(grid, p, S, c: np.ndarray) -> tuple:
+    """alpha of S + fractional gradient of w (signed 1D, magnitude 2D) and
+    w's `dirichlet_energy` under it, from the rfftn coefficients c of w
+    through one spectral gradient."""
+    grad = spectral.gradient(grid, c)
+    if grid.dim == 1:
+        frac = spectral.frac_derivative_1d(grid, c, p)
+    else:
+        frac = spectral.frac_gradient_2d(grid, grad, p)
+    alpha = spectral.alpha_from_fracfield(S + frac)
+    return alpha, dirichlet_energy(grid, grad, alpha)
+
+
+def dirichlet_energy(grid: PeriodicGrid, grad: list, alpha: np.ndarray) -> float:
+    """The energy form a(w, w) = integral of alpha |grad w|^2 over the box,
+    from w's spectral `gradient`.
+
+    The product is pointwise, and the integral is the trapezoid rule (a
+    plain cell-volume sum on the periodic torus). Cross-check: h^N * w^T A w
+    agrees with it to O(h^2) when A is assembled from the same coefficient.
+    """
+    return float(np.sum(alpha * sum(g**2 for g in grad)) * grid.h**grid.dim)
 
 
 def _pcg(apply_a, b, precond, tol, maxiter, x0=None):
@@ -155,8 +176,8 @@ def _pcg(apply_a, b, precond, tol, maxiter, x0=None):
 
 class SemiImplicitStepper:
     """One (I - dt div(alpha grad)) solve per step by preconditioned CG on
-    rfftn coefficients: one FFT of w in, one of the solution out, and one
-    `spectral.pm_divergence_form` (2 real FFTs per axis) per iteration.
+    rfftn coefficients: those of w in, one inverse FFT of the solution out,
+    and one `spectral.pm_divergence_form` (2 real FFTs per axis) per iteration.
 
     2D preconditions with the diagonal solve at mean(alpha), no FFT (a 2D
     five-point factor cost about seven FFT solves and saved no iterations).
@@ -191,12 +212,11 @@ class SemiImplicitStepper:
         inv = 1.0 / (1.0 + dt * float(np.mean(alpha)) * ops.k2)
         return lambda r: r * inv
 
-    def advance(self, w: ScalarField, alpha: np.ndarray) -> ScalarField:
+    def advance(self, b: np.ndarray, alpha: np.ndarray) -> ScalarField:
         g, dt = self.grid, self.cfg.dt
         tol, maxiter = self.cfg.tolerance, self.cfg.max_linear_iter
         ops = spectral.spectral_ops(g)
         alpha_field = ScalarField(g, alpha)
-        b = ops.forward(w.values)
 
         def apply_a(c):
             return c - dt * spectral.pm_divergence_form(alpha_field, c)
@@ -240,37 +260,30 @@ def evolve(
         S = precompute_singular_field(grid, geom, p)
     H = geom.indicator(*grid.nodes())
     steps = round(cfg.t_final / cfg.dt)
+    ops = spectral.spectral_ops(grid)
     w = ScalarField(grid, w0.values.copy())
     traj = Trajectory()
     u = H + w.values
     limit = 2.0 * max(1.0, float(np.max(np.abs(u)))) + 1e-12
-    alpha = diffusion_coefficient(grid, p, S, w)
-    traj.record(0.0, w, u, linearop.dirichlet_energy(w, alpha), take_snapshot=True)
-    w_prev = w
-    for i in range(1, steps + 1):
-        if stepper is not None:
-            w = stepper.advance(w, alpha)
-            traj.cg_iterations.append(stepper.last_iterations)
-        else:
-            ops = spectral.spectral_ops(grid)
-            flux = spectral.pm_divergence_form(ScalarField(grid, alpha), ops.forward(w.values))
-            w = ScalarField(grid, w.values + cfg.dt * ops.inverse(flux))
-        u = H + w.values
-        if float(np.max(np.abs(u))) > limit:
-            raise BlowUpError(
-                f"sup norm doubled at step {i} (t={i * cfg.dt:g})",
-                trajectory=traj,
-                last_good=((i - 1) * cfg.dt, w_prev.values),
-            )
-        w_prev = w
-        alpha = diffusion_coefficient(grid, p, S, w)
-        traj.record(
-            i * cfg.dt,
-            w,
-            u,
-            linearop.dirichlet_energy(w, alpha),
-            take_snapshot=(i % cfg.snapshot_stride == 0),
-        )
+    for i in range(steps + 1):
+        if i:
+            if stepper is not None:
+                w_next = stepper.advance(c, alpha)
+                traj.cg_iterations.append(stepper.last_iterations)
+            else:
+                flux = spectral.pm_divergence_form(ScalarField(grid, alpha), c)
+                w_next = ScalarField(grid, w.values + cfg.dt * ops.inverse(flux))
+            u = H + w_next.values
+            if float(np.max(np.abs(u))) > limit:
+                raise BlowUpError(
+                    f"sup norm doubled at step {i} (t={i * cfg.dt:g})",
+                    trajectory=traj,
+                    last_good=((i - 1) * cfg.dt, w.values),
+                )
+            w = w_next
+        c = ops.forward(w.values)  # the step's one transform of w
+        alpha, energy = diffusion_coefficient(grid, p, S, c)
+        traj.record(i * cfg.dt, w, u, energy, take_snapshot=(i % cfg.snapshot_stride == 0))
     return traj
 
 

@@ -63,9 +63,11 @@ def read_field(path: str):
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: bad field-file header: {exc}")
+    if not isinstance(header, dict) or any(type(header.get(k)) is not int for k in ("dim", "n")):
+        raise ConfigError(f"{path}: header is not a JSON object with integer dim and n: {header}")
     if header.get("dtype") != "f64" or header.get("byte_order") != "LE":
         raise ConfigError(f"{path}: unsupported field encoding {header}")
-    grid = PeriodicGrid(int(header["dim"]), int(header["n"]))
+    grid = PeriodicGrid(header["dim"], header["n"])
     expect = grid.n**grid.dim * _FIELD_DTYPE.itemsize
     body = blob[nl + 1 :]
     if len(body) != expect:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, LinearAlgebraError
-from .grid import FracParams, PeriodicGrid, ScalarField
-from .spectral import alpha_from_fracfield, gradient
+from .grid import FracParams, PeriodicGrid
+from .spectral import alpha_from_fracfield
 
 DENSE_MAX_NODES = 4096  # largest n**dim assembled dense (a 128 MB matrix)
 
@@ -203,22 +203,6 @@ def kernel_dim(A_sparse, r: int) -> int:
     k = min(r + 1, A_sparse.shape[0] - 1)
     _, bottom, _ = spectrum_deflated_iterative(A_sparse, ones, k=k)
     return int(np.sum(np.abs(bottom) < 1e-10 * matrix_norm(A_sparse))) + 1
-
-
-def dirichlet_energy(w: ScalarField, alpha: np.ndarray) -> float:
-    """The energy form a(w, w) = integral of alpha |grad w|^2 over the box.
-
-    Gradients are spectral, the product is pointwise, and the integral is
-    the trapezoid rule (a plain cell-volume sum on the periodic torus).
-    Cross-check: h^N * w^T A w agrees with it to O(h^2) when A is assembled
-    from the same coefficient.
-    """
-    if not np.any(w.values):
-        return 0.0
-    sq = np.zeros(w.grid.shape)
-    for part in gradient(w):
-        sq += part.values**2
-    return float(np.sum(alpha * sq) * w.grid.h**w.grid.dim)
 
 
 def assemble_sparse(grid: PeriodicGrid, alpha_faces):

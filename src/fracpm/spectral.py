@@ -86,33 +86,33 @@ def spectral_ops(grid: PeriodicGrid, epsilon: float | None = None) -> SpectralOp
     return SpectralOps(grid, epsilon)
 
 
-def frac_derivative_1d(f: ScalarField, p: FracParams) -> ScalarField:
-    """Fractional derivative of order 1 - epsilon of a 1D field."""
-    if f.grid.dim != 1:
+def frac_derivative_1d(grid: PeriodicGrid, c: np.ndarray, p: FracParams) -> np.ndarray:
+    """Fractional derivative of order 1 - epsilon of a 1D field, from its
+    rfftn coefficients c."""
+    if grid.dim != 1:
         raise ValueError("frac_derivative_1d expects a 1D field")
-    ops = spectral_ops(f.grid, p.epsilon)
-    return ScalarField(f.grid, ops.inverse(ops.frac * ops.forward(f.values)))
+    ops = spectral_ops(grid, p.epsilon)
+    return ops.inverse(ops.frac * c)
 
 
-def gradient(f: ScalarField) -> list:
-    """First-order spectral partial derivatives, one real field per axis."""
-    ops = spectral_ops(f.grid)
-    c = ops.forward(f.values)
-    return [ScalarField(f.grid, ops.inverse(m * c)) for m in ops.deriv]
+def gradient(grid: PeriodicGrid, c: np.ndarray) -> list:
+    """First-order spectral partial derivatives of a field from its rfftn
+    coefficients c, one real array per axis."""
+    ops = spectral_ops(grid)
+    return [ops.inverse(m * c) for m in ops.deriv]
 
 
-def frac_gradient_2d(f: ScalarField, p: FracParams) -> ScalarField:
-    """Fractional gradient magnitude in 2D: |k|^{-eps} smoothing of |grad f|.
+def frac_gradient_2d(grid: PeriodicGrid, grad: list, p: FracParams) -> np.ndarray:
+    """Fractional gradient magnitude in 2D: |k|^{-eps} smoothing of |grad f|,
+    from the field's `gradient`.
 
     The k = 0 mode of the smoothed quantity is dropped by the multiplier, so
     the result is mean-free by construction.
     """
-    if f.grid.dim != 2:
-        raise ValueError("frac_gradient_2d expects a 2D field")
-    gx, gy = gradient(f)
-    mag = np.sqrt(gx.values**2 + gy.values**2)
-    ops = spectral_ops(f.grid, p.epsilon)
-    return ScalarField(f.grid, ops.inverse(ops.smooth * ops.forward(mag)))
+    gx, gy = grad  # two axes: a 1D gradient does not unpack
+    mag = np.sqrt(gx**2 + gy**2)
+    ops = spectral_ops(grid, p.epsilon)
+    return ops.inverse(ops.smooth * ops.forward(mag))
 
 
 def alpha_from_fracfield(v: np.ndarray) -> np.ndarray:

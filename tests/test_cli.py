@@ -129,6 +129,33 @@ def test_negative_noise_seed_exits_2(tmp_path, capsys, text, argv):
     assert "non-negative seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        '{"dtype": "f64", "byte_order": "LE"}',
+        "[1, 2]",
+        '{"dim": "x", "n": 16, "dtype": "f64", "byte_order": "LE"}',
+        '{"dim": 1, "n": 16.9, "dtype": "f64", "byte_order": "LE"}',
+    ],
+    ids=("no-dim", "list", "text-dim", "float-n"),
+)
+def test_malformed_field_file_header_exits_2(tmp_path, capsys, header):
+    """A perturbation file whose header is not an object with integer dim
+    and n is a config error naming the file, not a traceback or a run on a
+    truncated size."""
+    field = tmp_path / "w0.field"
+    field.write_bytes(header.encode() + b"\n" + bytes(16 * 8))
+    cfg = write_cfg(tmp_path, (
+        "dimension = 1\nepsilon = 0.7\ngrid.n = 16\n"
+        "geometry.jumps = -0.43, 0.47\ngeometry.values = 0.0, 1.0\n"
+        f"perturbation.kind = file\nperturbation.file = {field}\n"
+        "solver.dt = 1e-3\nsolver.t_final = 1e-3\n"
+    ))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(field) in lines[0]
+
+
 def test_spectrum_report(tmp_path):
     cfg = write_cfg(tmp_path, BASE_1D)
     out = tmp_path / "out"
@@ -378,17 +405,19 @@ def test_grid_above_the_node_ceiling_exits_2_at_once(tmp_path, capsys, command):
     "text,named",
     [
         (BASE_1D + "solver.t_final = 10\nsolver.dt = 1e-6\n", "step ceiling"),
+        (BASE_1D + "solver.max_linear_iter = 100000000\n", "solver.max_linear_iter"),
         (
             BASE_2D.replace("grid.n = 16", "grid.n = 2048")
             + "solver.t_final = 0.1\nsolver.snapshot_stride = 1\n",
             "snapshot values",
         ),
     ],
-    ids=("steps", "snapshots"),
+    ids=("steps", "linear-iterations", "snapshots"),
 )
 def test_evolve_above_the_work_ceilings_exits_2_at_once(tmp_path, capsys, text, named):
-    """10^7 steps, or 1001 snapshots of 2048^2 nodes (34 GB), are refused
-    before the singular field or any snapshot is computed."""
+    """10^7 steps, a cap of 10^8 CG iterations per solve, or 1001 snapshots
+    of 2048^2 nodes (34 GB), are refused before the singular field or any
+    snapshot is computed."""
     cfg = write_cfg(tmp_path, text)
     start = time.perf_counter()
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -485,7 +514,7 @@ def test_blow_up_exits_4_with_diagnostics(tmp_path, monkeypatch):
     monkeypatch.setattr(
         fracpm.evolution,
         "diffusion_coefficient",
-        lambda grid, p, S, w: -np.ones(grid.shape),
+        lambda grid, p, S, c: (-np.ones(grid.shape), 0.0),
     )
     h = 2.0 / 256
     cfg = write_cfg(

@@ -131,6 +131,9 @@ def run(command, text):
 @example(case=("fracfield", "dimension = 2\nepsilon = 0.75\ngrid.n = 4\n"
                "geometry.radius = 2.225073858507203e-309\ngeometry.inside = 0.0\n"
                "geometry.outside = 1.0\nprobes.d_max = 1.0\nprobes.sign_check = true\n"))
+@example(case=("evolve", "dimension = 1\nepsilon = 0.3\ngrid.n = 512\nperturbation.kind = noise\n"
+               "solver.dt = 2e-3\nsolver.t_final = 2e-3\nsolver.tolerance = 5e-324\n"
+               "solver.max_linear_iter = 100000000\n"))
 def test_every_config_ends_in_a_documented_exit(case):
     command, text = case
     code, lines = run(command, text)

@@ -21,6 +21,16 @@ from conftest import offgrid
 P = FracParams(0.8)
 
 
+def coeffs(w):
+    """rfftn coefficients of the field w, as `evolve` hands them on."""
+    return spectral.spectral_ops(w.grid).forward(w.values)
+
+
+def alpha_of(grid, p, S, w):
+    """alpha of S and the field w, as `evolve` forms it."""
+    return evo.diffusion_coefficient(grid, p, S, coeffs(w))[0]
+
+
 @pytest.fixture(scope="module")
 def run_1d(step_256):
     grid, geom = step_256
@@ -112,7 +122,7 @@ def test_semi_implicit_single_mode_factor():
     dt = 1e-3
     stepper = SemiImplicitStepper(grid, SolverConfig(dt=dt, tolerance=1e-12))
     w = ScalarField(grid, np.sin(np.pi * grid.axis_nodes()))
-    out = stepper.advance(w, np.ones(grid.shape))
+    out = stepper.advance(coeffs(w), np.ones(grid.shape))
     assert np.max(np.abs(out.values - w.values / (1.0 + dt * np.pi**2))) < 1e-12
 
 
@@ -162,9 +172,9 @@ def test_fd_preconditioned_advance_matches_fft_preconditioned_solve(run_1d):
     grid, geom, S = run_1d
     cfg = SolverConfig(dt=2e-3, tolerance=1e-12)
     w = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=6)
-    alpha = evo.diffusion_coefficient(grid, P, S, w)
+    alpha = alpha_of(grid, P, S, w)
     stepper = SemiImplicitStepper(grid, cfg)
-    got = stepper.advance(w, alpha).values
+    got = stepper.advance(coeffs(w), alpha).values
 
     apply_a, fft_precond = oracle_real_space_system(grid, alpha, cfg.dt)
     want, fft_iters = oracle_real_space_pcg(apply_a, w.values, fft_precond, cfg.tolerance, 500)
@@ -179,10 +189,10 @@ def test_2d_advance_matches_real_space_cg(singular_field_2d, circle_64):
     grid, geom = circle_64
     p = FracParams(0.3)
     w = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=8)
-    alpha = evo.diffusion_coefficient(grid, p, singular_field_2d, w)
+    alpha = alpha_of(grid, p, singular_field_2d, w)
     cfg = SolverConfig(dt=2e-3)
     stepper = SemiImplicitStepper(grid, cfg)
-    got = stepper.advance(w, alpha).values
+    got = stepper.advance(coeffs(w), alpha).values
 
     apply_a, precond = oracle_real_space_system(grid, alpha, cfg.dt)
     want, iters = oracle_real_space_pcg(apply_a, w.values, precond, cfg.tolerance, 500)
@@ -207,8 +217,50 @@ def test_one_matvec_per_cg_iteration(dim, n, monkeypatch):
     stepper = SemiImplicitStepper(grid, SolverConfig(dt=1e-3))
     for _ in range(2):
         calls.clear()
-        w = stepper.advance(w, alpha)
+        w = stepper.advance(coeffs(w), alpha)
         assert len(calls) == stepper.last_iterations > 0
+
+
+@pytest.mark.parametrize("dim,n,per_step", [(1, 64, (1, 3)), (2, 16, (2, 4))])
+def test_each_step_forward_transforms_w_once(dim, n, per_step, monkeypatch):
+    """Outside CG a semi-implicit step makes one forward transform, of w,
+    and inverts the solution, the fractional derivative and the gradient;
+    in 2D the gradient has two axes and the smoothing of its magnitude
+    adds one transform each way."""
+    counts = {"forward": 0, "inverse": 0}
+    in_cg = []
+
+    def counted(name):
+        real = getattr(spectral.SpectralOps, name)
+
+        def wrapper(self, values):
+            counts[name] += not in_cg
+            return real(self, values)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(spectral.SpectralOps, name, counted(name))
+    real_pcg = evo._pcg
+
+    def flagged_pcg(*args):
+        in_cg.append(1)
+        try:
+            return real_pcg(*args)
+        finally:
+            in_cg.pop()
+
+    monkeypatch.setattr(evo, "_pcg", flagged_pcg)
+    grid = PeriodicGrid(dim, n)
+    jumps = JumpSet1D.symmetric_step() if dim == 1 else JumpSet2D(Circle((0.0, 0.0), 0.5))
+    geom = offgrid(jumps, grid)
+    w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=3)
+    totals = []
+    for steps in (2, 5):
+        counts.update(forward=0, inverse=0)
+        cfg = SolverConfig(dt=1e-3, t_final=steps * 1e-3)
+        evolve(grid, geom, P, w0, cfg, singular_field=np.zeros(grid.shape))
+        totals.append((counts["forward"], counts["inverse"]))
+    assert tuple((b - a) / 3 for a, b in zip(*totals)) == per_step
 
 
 def test_explicit_scheme_is_the_real_space_update(run_1d):
@@ -221,7 +273,7 @@ def test_explicit_scheme_is_the_real_space_update(run_1d):
     traj = evolve(grid, geom, P, w0, cfg, singular_field=S)
     w = w0.values
     for _ in range(20):
-        alpha = evo.diffusion_coefficient(grid, P, S, ScalarField(grid, w))
+        alpha = alpha_of(grid, P, S, ScalarField(grid, w))
         apply_a, _ = oracle_real_space_system(grid, alpha, -cfg.dt)
         w = apply_a(w)
     assert np.max(np.abs(traj.snapshots[-1][1] - w)) <= 1e-15
@@ -310,7 +362,7 @@ def test_2d_cg_failure_raises():
     stepper = SemiImplicitStepper(grid, SolverConfig(dt=1e-2, max_linear_iter=1))
     w = ScalarField(grid, rng.standard_normal(grid.shape))
     with pytest.raises(LinearAlgebraError):
-        stepper.advance(w, rng.uniform(0.1, 1.0, grid.shape))
+        stepper.advance(coeffs(w), rng.uniform(0.1, 1.0, grid.shape))
 
 
 def test_cross_scheme_agreement_is_second_order():
@@ -365,7 +417,7 @@ def test_blow_up_detection(run_1d, monkeypatch):
     """No admissible coefficient blows up, so force anti-diffusion through
     the real detector path and check the diagnostics it carries."""
     grid, geom, S = run_1d
-    monkeypatch.setattr(evo, "diffusion_coefficient", lambda g, p, s, w: -np.ones(g.shape))
+    monkeypatch.setattr(evo, "diffusion_coefficient", lambda g, p, s, c: (-np.ones(g.shape), 0.0))
     w0 = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=1)
     dt = grid.h**2 / 2.0
     cfg = SolverConfig(dt=dt, t_final=500 * dt, scheme="explicit")
@@ -447,7 +499,7 @@ def test_semi_implicit_step_conserves_the_mean_exactly(dim, n):
     alpha = rng.uniform(0.05, 1.0, grid.shape)
     cfg = SolverConfig(dt=2e-3)
     stepper = SemiImplicitStepper(grid, cfg)
-    got = stepper.advance(w, alpha).values
+    got = stepper.advance(coeffs(w), alpha).values
     assert abs(np.sum(got) - np.sum(w.values)) <= 1e-14 * np.sum(np.abs(w.values))
 
     ops = spectral.spectral_ops(grid)
@@ -483,7 +535,7 @@ def test_first_advance_is_the_cold_solve(dim, n):
     alpha = rng.uniform(0.05, 1.0, grid.shape)
     cfg = SolverConfig(dt=2e-3)
     stepper = SemiImplicitStepper(grid, cfg)
-    got = stepper.advance(w, alpha).values
+    got = stepper.advance(coeffs(w), alpha).values
     want, iters = _cold_solve(grid, cfg, w, alpha)
     assert np.array_equal(got, want)
     assert stepper.last_iterations == iters > 5
@@ -499,9 +551,9 @@ def test_warm_start_keeps_the_cold_accuracy(singular_field_2d, circle_64):
     stepper = SemiImplicitStepper(grid, cfg)
     w = initial_perturbation(grid, geom, kind="noise", amplitude=1e-3, seed=12)
     for _ in range(4):
-        w = stepper.advance(w, evo.diffusion_coefficient(grid, p, singular_field_2d, w))
-    alpha = evo.diffusion_coefficient(grid, p, singular_field_2d, w)
-    got = stepper.advance(w, alpha).values
+        w = stepper.advance(coeffs(w), alpha_of(grid, p, singular_field_2d, w))
+    alpha = alpha_of(grid, p, singular_field_2d, w)
+    got = stepper.advance(coeffs(w), alpha).values
     want, iters = _cold_solve(grid, cfg, w, alpha)
     assert np.linalg.norm(got - want) <= 2.0 * cfg.tolerance * np.linalg.norm(w.values)
     assert stepper.last_iterations < iters
@@ -517,9 +569,9 @@ def test_unrelated_history_costs_at_most_one_matvec(dim, n):
     cfg = SolverConfig(dt=2e-3)
     stepper = SemiImplicitStepper(grid, cfg)
     for _ in range(4):
-        stepper.advance(ScalarField(grid, rng.standard_normal(grid.shape)), alpha)
+        stepper.advance(coeffs(ScalarField(grid, rng.standard_normal(grid.shape))), alpha)
     w = ScalarField(grid, rng.standard_normal(grid.shape))
-    got = stepper.advance(w, alpha).values
+    got = stepper.advance(coeffs(w), alpha).values
     want, iters = _cold_solve(grid, cfg, w, alpha)
     assert stepper.last_iterations <= iters + 1
     assert np.linalg.norm(got - want) <= 2.0 * cfg.tolerance * np.linalg.norm(w.values)
@@ -532,7 +584,7 @@ def test_zero_input_after_history_costs_no_matvec(monkeypatch):
     stepper = SemiImplicitStepper(grid, SolverConfig(dt=2e-3))
     w = ScalarField(grid, rng.standard_normal(grid.shape))
     for _ in range(3):
-        w = stepper.advance(w, alpha)
+        w = stepper.advance(coeffs(w), alpha)
     calls = []
     matvec = spectral.pm_divergence_form
 
@@ -541,7 +593,7 @@ def test_zero_input_after_history_costs_no_matvec(monkeypatch):
         return matvec(a, c)
 
     monkeypatch.setattr(spectral, "pm_divergence_form", counted)
-    out = stepper.advance(ScalarField(grid, np.zeros(grid.shape)), alpha)
+    out = stepper.advance(coeffs(ScalarField(grid, np.zeros(grid.shape))), alpha)
     assert not np.any(out.values)
     assert stepper.last_iterations == len(calls) == 0
 
@@ -573,6 +625,6 @@ def test_exact_guess_returns_after_its_residual():
     stepper = SemiImplicitStepper(grid, SolverConfig(dt=2e-3))
     w = ScalarField(grid, np.full(grid.shape, 0.25))
     for _ in range(5):
-        w = stepper.advance(w, alpha)
+        w = stepper.advance(coeffs(w), alpha)
     assert np.array_equal(w.values, np.full(grid.shape, 0.25))
     assert stepper.last_iterations == 1
