@@ -36,8 +36,8 @@ still splitting after 40 bisections means the point is on the curve
 is separable: Re sum (E_x C) * E_y with E_a = e^{i pi x_a k} over one
 axis of 87 wavenumbers, E_x C and E_y formed once per distinct
 coordinate of a block of points (a lattice has n per axis) and gathered
-per point. The evaluator builds one `special.GammaQ` table of Q per part
-(exponent 1 - eps/2, and eps/2).
+per point, a fixed chunk of points at a time. The evaluator builds one
+`special.GammaQ` table of Q per part (exponent 1 - eps/2, and eps/2).
 
 Curve geometry is exact. A circle's signed distance is one hypot to the
 nearest image of its centre (`geometry.periodic_delta`); a spline's is the
@@ -74,6 +74,14 @@ _IMAGES = tuple((mx, my) for mx in (-2.0, 0.0, 2.0) for my in (-2.0, 0.0, 2.0))
 _GL_ORDER = 16  # Gauss-Legendre nodes per admissible panel
 _MAX_LEVELS = 40  # bisections before a point counts as lying on the curve
 _PAIRS = 2**14  # (point image, curve piece) pairs per evaluation block
+# Temporaries inside a block have fixed sizes. The short part integrates
+# _PAIR_CHUNK (point image, panel) pairs, _PAIR_CHUNK * _GL_ORDER nodes, at
+# a time, and runs its reach test (one value per pair) over that many pairs;
+# the long part gathers E_x C and E_y for _POINT_CHUNK points at a time.
+# Every sum keeps its operands and order, so no result depends on either;
+# below about 2^8 pairs the per-chunk Python overhead shows in the time.
+_PAIR_CHUNK = 2**8
+_POINT_CHUNK = 2**7
 _NEWTON_STEPS = 4  # from the nearest spline sample to the foot point
 
 
@@ -298,21 +306,32 @@ class EwaldStepField2D:
             a, b, nodes, weights, centre, length = panels
             # drop panels beyond the kernel's reach, bisect those the point
             # is closer to than their arclength, integrate the rest
-            dist = np.hypot(*(targets[tgt] - centre[idx]).T)
-            keep = dist - length[idx] < self.rho_max
-            split = keep & (dist < length[idx])
-            done = keep & ~split
-            z = targets[tgt[done], None, :] - nodes[idx[done]]
-            rho = np.hypot(z[..., 0], z[..., 1])
-            psi = self._psi_terms(rho, derivs)
-            w = weights[idx[done]]
-            rows = [psi[0]]
-            if derivs:
-                radial = psi[1] / rho
-                rows += [radial * z[..., 0], radial * z[..., 1], psi[2] + radial]
-            owner = tgt[done] // len(_IMAGES)
-            for row, vals in zip(acc, rows):
-                row += np.bincount(owner, np.sum(w * vals, axis=1), pts.shape[0])
+            split = np.empty(tgt.size, dtype=bool)
+            done = np.empty(tgt.size, dtype=bool)
+            step = _PAIR_CHUNK * _GL_ORDER  # one value per pair here, not per node
+            for s in range(0, tgt.size, step):
+                t, i = tgt[s:s + step], idx[s:s + step]
+                dist = np.hypot(*(targets[t] - centre[i]).T)
+                keep = dist - length[i] < self.rho_max
+                cut = split[s:s + step] = keep & (dist < length[i])
+                done[s:s + step] = keep & ~cut
+            fin_t, fin_i = tgt[done], idx[done]
+            sums = np.empty((acc.shape[0], fin_t.size))  # one per integrated pair
+            for s in range(0, fin_t.size, _PAIR_CHUNK):
+                t, i = fin_t[s:s + _PAIR_CHUNK], fin_i[s:s + _PAIR_CHUNK]
+                z = targets[t, None, :] - nodes[i]
+                rho = np.hypot(z[..., 0], z[..., 1])
+                psi = self._psi_terms(rho, derivs)
+                w = weights[i]
+                rows = [psi[0]]
+                if derivs:
+                    radial = psi[1] / rho
+                    rows += [radial * z[..., 0], radial * z[..., 1], psi[2] + radial]
+                for row, vals in zip(sums, rows):
+                    row[s:s + _PAIR_CHUNK] = np.sum(w * vals, axis=1)
+            owner = fin_t // len(_IMAGES)
+            for row, vals in zip(acc, sums):
+                row += np.bincount(owner, vals, pts.shape[0])
             if not np.any(split):
                 return np.pi / (4.0 * self.gamma_half_eps) * acc
             # the halves of each distinct split panel, built once for all its pairs
@@ -336,18 +355,23 @@ class EwaldStepField2D:
         # point's value does not depend on the other x in its block
         xs = np.resize(xs, min(len(pts), max(xs.size, 2)))
         ex = np.exp(np.outer(xs, ik))
-        ey = np.exp(np.outer(ys, ik))[iy]
-        exc = (ex @ self.long_coeff)[ix]
-        rows = [np.sum(exc * ey, axis=1)]
+        eys = np.exp(np.outer(ys, ik))
+        excs = ex @ self.long_coeff
         if derivs:
-            dxc = ((ex * ik) @ self.long_coeff)[ix]
-            dxxc = ((ex * ik**2) @ self.long_coeff)[ix]
-            rows += [
-                np.sum(dxc * ey, axis=1),
-                np.sum(exc * (ey * ik), axis=1),
-                np.sum(dxxc * ey + exc * (ey * ik**2), axis=1),
-            ]
-        return np.array(rows).real
+            dxcs = (ex * ik) @ self.long_coeff
+            dxxcs = (ex * ik**2) @ self.long_coeff
+        out = np.empty((4 if derivs else 1, len(pts)), dtype=complex)
+        for s in range(0, len(pts), _POINT_CHUNK):
+            jx, ey = ix[s:s + _POINT_CHUNK], eys[iy[s:s + _POINT_CHUNK]]
+            exc = excs[jx]
+            out[0, s:s + _POINT_CHUNK] = np.sum(exc * ey, axis=1)
+            if derivs:
+                out[1:, s:s + _POINT_CHUNK] = [
+                    np.sum(dxcs[jx] * ey, axis=1),
+                    np.sum(exc * (ey * ik), axis=1),
+                    np.sum(dxxcs[jx] * ey + exc * (ey * ik**2), axis=1),
+                ]
+        return out.real
 
     def evaluate(self, points, want=("field",)):
         """Evaluate at points of shape (..., 2).

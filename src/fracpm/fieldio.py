@@ -67,7 +67,10 @@ def read_field(path: str):
         raise ConfigError(f"{path}: header is not a JSON object with integer dim and n: {header}")
     if header.get("dtype") != "f64" or header.get("byte_order") != "LE":
         raise ConfigError(f"{path}: unsupported field encoding {header}")
-    grid = PeriodicGrid(header["dim"], header["n"])
+    try:
+        grid = PeriodicGrid(header["dim"], header["n"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}")
     expect = grid.n**grid.dim * _FIELD_DTYPE.itemsize
     body = blob[nl + 1 :]
     if len(body) != expect:

@@ -136,13 +136,17 @@ def test_negative_noise_seed_exits_2(tmp_path, capsys, text, argv):
         "[1, 2]",
         '{"dim": "x", "n": 16, "dtype": "f64", "byte_order": "LE"}',
         '{"dim": 1, "n": 16.9, "dtype": "f64", "byte_order": "LE"}',
+        '{"dim": 3, "n": 16, "dtype": "f64", "byte_order": "LE"}',
+        '{"dim": 1, "n": 15, "dtype": "f64", "byte_order": "LE"}',
+        '{"dim": 1, "n": 8388608, "dtype": "f64", "byte_order": "LE"}',
     ],
-    ids=("no-dim", "list", "text-dim", "float-n"),
+    ids=("no-dim", "list", "text-dim", "float-n", "dim-3", "odd-n", "n-over-max-nodes"),
 )
 def test_malformed_field_file_header_exits_2(tmp_path, capsys, header):
     """A perturbation file whose header is not an object with integer dim
-    and n is a config error naming the file, not a traceback or a run on a
-    truncated size."""
+    and n, or whose dim or n no grid takes, is a config error naming the
+    file, not a traceback, a run on a truncated size or a message that
+    reads like a fault in the run config."""
     field = tmp_path / "w0.field"
     field.write_bytes(header.encode() + b"\n" + bytes(16 * 8))
     cfg = write_cfg(tmp_path, (

@@ -240,8 +240,10 @@ def test_one_lattice_evaluation_builds_each_panel_once_in_little_memory(monkeypa
     """One 64^2 evaluation on the fracfield-2d config (circle r = 0.5 moved
     off the lattice, eps = 0.3) builds 1,248 panel rows, each split panel
     once for all its (point image, panel) pairs, where building one per
-    pair made 31,754. Its tracemalloc peak stays under 4 MB (3.05 MB; 6.2
-    MB with a panel per pair and the (9, N) gather of GammaQ coefficients)."""
+    pair made 31,754. Its tracemalloc peak stays under 1.5 MB (0.93 MB
+    with the pairs and reciprocal rows in fixed chunks; 3.05 MB with
+    arrays the size of the block, 6.2 MB with a panel per pair and the
+    (9, N) gather of GammaQ coefficients)."""
     grid = PeriodicGrid(2, 64)
     geom = offgrid(JumpSet2D(Circle((0.0, 0.0), 0.5)), grid)
     ev = EwaldStepField2D(geom.curve, FracParams(0.3))
@@ -258,7 +260,25 @@ def test_one_lattice_evaluation_builds_each_panel_once_in_little_memory(monkeypa
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 1.5e6
+
+
+@pytest.mark.parametrize("make_curve", [lambda: Circle((0.03, -0.02), 0.5), seven_knot_spline],
+                         ids=("shifted-circle", "spline"))
+def test_chunk_lengths_change_no_bit(monkeypatch, make_curve):
+    """The field, grad and lap of the 16^2 lattice with every pair and
+    point chunk 3 long, so that chunks split levels, images and points at
+    every offset, equal those of the default chunks bit for bit."""
+    ev = EwaldStepField2D(make_curve(), FracParams(0.3))
+    X, Y = PeriodicGrid(2, 16).nodes()
+    pts = np.stack([X + 0.01, Y + 0.003], axis=-1).reshape(-1, 2)
+    want = ("field", "grad", "lap")
+    default = ev.evaluate(pts, want)
+    monkeypatch.setattr(curves, "_PAIR_CHUNK", 3)
+    monkeypatch.setattr(curves, "_POINT_CHUNK", 3)
+    chunked = ev.evaluate(pts, want)
+    for key in want:
+        assert same_bits(chunked[key], default[key]), key
 
 
 def test_field_row_skips_exact_zeros_bit_for_bit(evaluator):
