@@ -178,10 +178,9 @@ def cmd_spectrum(cfg: RunConfig, outdir: str) -> int:
     p = cfg.build_params()
     alpha_faces = linearop.face_alpha(grid, geom, p)
     indicators = linearop.component_indicators(grid, geom)
-    A = linearop.assemble_sparse(grid, alpha_faces)
+    A = linearop.assemble(grid, alpha_faces)
     if grid.n**grid.dim <= linearop.DENSE_MAX_NODES:
-        dense = linearop.assemble(grid, alpha_faces)
-        gamma, eigs, r = linearop.spectrum_deflated(dense, indicators)
+        gamma, eigs, r = linearop.spectrum_deflated(A, indicators)
         mode = "dense"
     else:
         gamma, eigs, r = linearop.spectrum_deflated_iterative(A, indicators)

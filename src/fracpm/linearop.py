@@ -11,8 +11,8 @@ the complement of the jump set; the "deflated gap" gamma is the smallest
 eigenvalue after projecting that span out, and 1/sqrt(gamma) is the
 corresponding Poincare-type constant. In 1D, A = D^T F D / h^2 with D the
 node-to-face difference, so P A P = G^T G with G = F^(1/2) D P / h square,
-and the dense mode reads every eigenvalue off the banded face-space
-matrix G G^T, which has the same spectrum.
+whose spectrum the 1D full solve reads off the banded matrix G G^T. Every
+routine takes the one CSR A of `assemble`; only 2D densifies it, once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ConfigError, LinearAlgebraError
 from .grid import FracParams, PeriodicGrid
 from .spectral import alpha_from_fracfield
 
-DENSE_MAX_NODES = 4096  # largest n**dim assembled dense (a 128 MB matrix)
+DENSE_MAX_NODES = 4096  # largest n**dim with a full spectrum (a 128 MB dense matrix in 2D)
 
 
 def face_alpha(grid: PeriodicGrid, geom, p: FracParams) -> np.ndarray:
@@ -40,13 +40,6 @@ def face_alpha(grid: PeriodicGrid, geom, p: FracParams) -> np.ndarray:
         alpha_from_fracfield(precompute_singular_field(grid, geom, p, offsets=o, field=field))
         for o in -0.5 * np.eye(grid.dim)  # half a cell back along one axis
     ])
-
-
-def assemble(grid: PeriodicGrid, alpha_faces) -> np.ndarray:
-    """Dense view of assemble_sparse, for the full eigensolve."""
-    if grid.n**grid.dim > DENSE_MAX_NODES:
-        raise ConfigError(f"dense assembly is limited to n**dim <= {DENSE_MAX_NODES} nodes")
-    return assemble_sparse(grid, alpha_faces).toarray()
 
 
 def component_indicators(grid: PeriodicGrid, geom) -> np.ndarray:
@@ -79,17 +72,19 @@ def deflation_basis(indicators: np.ndarray) -> np.ndarray:
     return Q
 
 
-def spectrum_deflated(A: np.ndarray, indicators: np.ndarray):
+def spectrum_deflated(A, indicators: np.ndarray):
     """Eigenvalues of P A P with P projecting out the indicator span.
 
     Returns (gamma, eigenvalues_ascending, deflation_dim). The first
-    deflation_dim eigenvalues are the zeros manufactured by P; gamma is
-    the next one. A must be symmetric PSD; symmetry defects beyond
-    round-off raise LinearAlgebraError, and so does a deflation that
-    leaves no eigenvalue above the deflated ones. A ring Laplacian (the
-    1D stencil) with disjointly supported indicators takes the banded
-    route of `_ring_spectrum`; every other A is solved dense.
+    deflation_dim eigenvalues are the zeros manufactured by P; gamma is the
+    next one. A, a CSR matrix of at most DENSE_MAX_NODES rows, must be
+    symmetric PSD; symmetry defects beyond round-off raise LinearAlgebraError,
+    and so does a deflation that leaves no eigenvalue above the deflated ones.
+    A ring Laplacian (the 1D stencil) with disjointly supported indicators
+    takes the banded route of `_ring_spectrum`; every other A is solved dense.
     """
+    if A.shape[0] > DENSE_MAX_NODES:
+        raise ConfigError(f"the full spectrum is limited to n**dim <= {DENSE_MAX_NODES} nodes")
     Q = deflation_basis(indicators)
     r = Q.shape[1]
     if r == A.shape[0]:
@@ -115,8 +110,8 @@ def _roundoff(scale: float) -> float:
     return 1e-10 * max(scale, 1.0)
 
 
-def _ring_faces(A: np.ndarray):
-    """The face weights f_i = -A[i, i-1] when A is a ring Laplacian, else None.
+def _ring_faces(A):
+    """The face weights f_i = -A[i, i-1] when the CSR A is a ring Laplacian, else None.
 
     A ring Laplacian has every nonzero on the cyclic tridiagonal,
     nonpositive off-diagonals and zero row sums, so A = D^T diag(f) D with
@@ -124,8 +119,8 @@ def _ring_faces(A: np.ndarray):
     O(n) band entries.
     """
     i = np.arange(A.shape[0])
-    diag, lower, upper = band = np.stack([A[i, i], A[i, i - 1], A[i - 1, i]])
-    if np.count_nonzero(A) != np.count_nonzero(band):
+    diag, lower, upper = band = np.asarray(A[np.r_[i, i, i - 1], np.r_[i, i - 1, i]]).reshape(3, -1)
+    if A.count_nonzero() != np.count_nonzero(band):
         return None
     scale = float(np.max(np.abs(band)))
     _check_symmetry(float(np.max(np.abs(lower - upper))), scale)
@@ -168,26 +163,26 @@ def _ring_spectrum(faces: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return eigvals_banded(band, lower=True, overwrite_a_band=True, check_finite=False)
 
 
-def _dense_spectrum(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _dense_spectrum(A, Q: np.ndarray) -> np.ndarray:
     """Every eigenvalue of P A P by a dense eigensolve, with one N x N copy.
 
     P A P = A - Q V^T - V Q^T with V = A Q - Q (Q^T A Q) / 2: one rank-2r
-    update (BLAS syr2k) of the lower triangle of a Fortran copy of A. The
-    symmetry check runs over row blocks, with no N x N temporary.
+    update (BLAS syr2k) of the lower triangle of M, a Fortran-order dense
+    copy of A. The symmetry check runs over row blocks of M, no N x N temporary.
     """
     from scipy.linalg import eigh
     from scipy.linalg.blas import dsyr2k
 
-    n = A.shape[0]
+    M = A.toarray(order="F")
     defect = scale = 0.0
-    for k in range(0, n, 256):
+    for k in range(0, M.shape[0], 256):
         rows = slice(k, k + 256)
-        defect = max(defect, float(np.max(np.abs(A[rows] - A[:, rows].T))))
-        scale = max(scale, float(np.max(np.abs(A[rows]))))
+        defect = max(defect, float(np.max(np.abs(M[rows] - M[:, rows].T))))
+        scale = max(scale, float(np.max(np.abs(M[rows]))))
     _check_symmetry(defect, scale)
-    AQ = A @ Q
+    AQ = M @ Q
     V = AQ - 0.5 * (Q @ (Q.T @ AQ))
-    M = dsyr2k(-1.0, Q, V, beta=1.0, c=np.array(A, order="F"), lower=1, overwrite_c=1)
+    M = dsyr2k(-1.0, Q, V, beta=1.0, c=M, lower=1, overwrite_c=1)
     return eigh(M, lower=True, eigvals_only=True, overwrite_a=True, check_finite=False)
 
 
@@ -196,19 +191,19 @@ def matrix_norm(A) -> float:
     return float(abs(A).max())
 
 
-def kernel_dim(A_sparse, r: int) -> int:
+def kernel_dim(A, r: int) -> int:
     """dim ker A: deflate the constants, then add one per eigenvalue below
     1e-10 max|A_ij| among the bottom min(r + 1, N - 1); r = indicator count."""
-    ones = np.ones((A_sparse.shape[0], 1))
-    k = min(r + 1, A_sparse.shape[0] - 1)
-    _, bottom, _ = spectrum_deflated_iterative(A_sparse, ones, k=k)
-    return int(np.sum(np.abs(bottom) < 1e-10 * matrix_norm(A_sparse))) + 1
+    ones = np.ones((A.shape[0], 1))
+    k = min(r + 1, A.shape[0] - 1)
+    _, bottom, _ = spectrum_deflated_iterative(A, ones, k=k)
+    return int(np.sum(np.abs(bottom) < 1e-10 * matrix_norm(A))) + 1
 
 
-def assemble_sparse(grid: PeriodicGrid, alpha_faces):
+def assemble(grid: PeriodicGrid, alpha_faces):
     """CSR matrix A with (A w)_i = -div(alpha grad w)_i, periodic FD.
 
-    The one copy of the conservative stencil; `assemble` is its dense view.
+    The one copy of the conservative stencil; every consumer reads this CSR.
     alpha_faces has the layout of `face_alpha`, shape (dim, *grid.shape);
     in 1D a bare length n array is accepted too. Per axis a, node i couples
     to i - e_a through faces[a][i] and to i + e_a through faces[a][i + e_a].
@@ -238,9 +233,13 @@ def assemble_sparse(grid: PeriodicGrid, alpha_faces):
     return coo_matrix((data, (rows, cols)), shape=(idx.size,) * 2).tocsr()
 
 
+# perfbench traces this name too; kept until the benchmark drops it
+assemble_sparse = assemble
+
+
 def ring_solver(faces, c: float):
-    """solve(b) = M^-1 b for M = I + c D^T diag(faces) D (`assemble_sparse`
-    times c h^2 plus I), numpy only. The chain T with face 0 cut is factored
+    """solve(b) = M^-1 b for M = I + c D^T diag(faces) D (`assemble` times
+    c h^2 plus I), numpy only. The chain T with face 0 cut is factored
     once as L diag(d) L^T; its multipliers lie in [0, 1), so both sweeps run
     by recursive doubling, y[s:] += a_s y[:-s] with a_2s[i] = a_s[i] a_s[i-s].
     Coefficients below 2^-53 become 0 and the first all-zero level ends the
@@ -280,7 +279,7 @@ def ring_solver(faces, c: float):
     return lambda b: (r := chain(b)) - (beta * (r[0] - r[-1])) * z
 
 
-def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
+def spectrum_deflated_iterative(A, indicators: np.ndarray, k: int = 10):
     """Bottom eigenvalues of P A P, the operator of `spectrum_deflated`, by
     shift-invert on range(P). (P A P + I)^{-1} there is the solve of
     (A + I) y = b with Q^T y = 0: a sparse LU of A + I and a rank-r Schur
@@ -293,8 +292,8 @@ def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
 
     Q = deflation_basis(indicators)
     r = Q.shape[1]
-    n = A_sparse.shape[0]
-    lu = splu((A_sparse + speye(n, format="csr")).tocsc())
+    n = A.shape[0]
+    lu = splu((A + speye(n, format="csr")).tocsc())
     W = lu.solve(Q)
     S = Q.T @ W
 
@@ -308,7 +307,7 @@ def spectrum_deflated_iterative(A_sparse, indicators: np.ndarray, k: int = 10):
     inv_op = LinearOperator((n, n), matvec=apply_inv, dtype=float)
     try:
         vals = eigsh(
-            A_sparse, k=k, sigma=-1.0, which="LM", OPinv=inv_op,
+            A, k=k, sigma=-1.0, which="LM", OPinv=inv_op,
             v0=project(np.random.default_rng(0).standard_normal(n)),
             return_eigenvectors=False,
         )

@@ -33,7 +33,6 @@ from .geometry import (
 from .grid import FracParams, PeriodicGrid, ScalarField
 from .linearop import (
     assemble,
-    assemble_sparse,
     component_indicators,
     deflation_basis,
     face_alpha,
@@ -343,7 +342,7 @@ def criterion_08():
         for n in (256, 512, 1024):
             grid = PeriodicGrid(1, n)
             geom = _offgrid(JumpSet1D.symmetric_step(), grid)
-            A = assemble_sparse(grid, face_alpha(grid, geom, p))
+            A = assemble(grid, face_alpha(grid, geom, p))
             gammas.append(spectrum_deflated_iterative(A, component_indicators(grid, geom))[0])
         variation = abs(gammas[2] - gammas[1]) / gammas[2]
         leg_ok = all(g > 0 for g in gammas) and variation < TOLERANCES[
@@ -363,7 +362,7 @@ def criterion_09():
     grid = PeriodicGrid(1, 512)
     geom = _offgrid(JumpSet1D.symmetric_step(), grid)
     p = FracParams(0.3)
-    A = assemble_sparse(grid, face_alpha(grid, geom, p))
+    A = assemble(grid, face_alpha(grid, geom, p))
     V = component_indicators(grid, geom)
     gam, _, _ = spectrum_deflated_iterative(A, V)
     Q = deflation_basis(V)
@@ -401,7 +400,7 @@ def criterion_10():
     worst_eig = 0.0
     for n in (128, 256):
         grid = PeriodicGrid(1, n)
-        A = assemble(grid, np.ones(n))
+        A = assemble(grid, np.ones(n)).toarray()
         eigs = np.sort(np.linalg.eigvalsh(0.5 * (A + A.T)))
         worst_eig = max(
             worst_eig, float(np.max(np.abs(eigs - fd_laplacian_eigenvalues(grid))))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import fracpm.linearop as lo
 from fracpm.curves import Circle
@@ -36,14 +37,14 @@ def op_512():
 
 
 def test_assembled_operator_is_symmetric_psd(op_256):
-    _, _, A = op_256
+    A = op_256[2].toarray()
     assert np.max(np.abs(A - A.T)) == 0.0
     eigs = np.linalg.eigvalsh(A)
     assert eigs[0] >= -1e-12 * np.max(np.abs(A))
 
 
 def test_m_matrix_sign_pattern(op_256):
-    _, _, A = op_256
+    A = op_256[2].toarray()
     off = A - np.diag(np.diag(A))
     assert np.max(off) <= 0.0
     assert np.min(np.diag(A)) > 0.0
@@ -64,7 +65,7 @@ def test_discrete_kernel_is_constants_only(op_512):
     """Only the constant vector is numerically null. The indicator of each
     piece becomes near-null only in the continuum limit (and only for
     epsilon < 1/2), so the second eigenvalue stays order one here."""
-    _, _, A = op_512
+    A = op_512[2].toarray()
     eigs = np.linalg.eigvalsh(A)
     scale = np.max(np.abs(A))
     assert int(np.sum(eigs < 1e-10 * scale)) == 1
@@ -125,7 +126,7 @@ def test_near_null_overlap_at_small_epsilon():
     overlaps = {}
     for n in (512, 1024):
         grid, geom, A = build(n, FracParams(0.2))
-        overlaps[n] = near_null_overlap(A, lo.component_indicators(grid, geom))
+        overlaps[n] = near_null_overlap(A.toarray(), lo.component_indicators(grid, geom))
     assert overlaps[512] < overlaps[1024]
     assert overlaps[1024] > 0.999
 
@@ -153,7 +154,7 @@ def test_deflation_guard_rejects_rank_deficiency(op_256):
 def test_symmetry_guard():
     M = np.triu(np.ones((8, 8)))
     with pytest.raises(LinearAlgebraError):
-        lo.spectrum_deflated(M, np.ones((8, 1)))
+        lo.spectrum_deflated(csr_matrix(M), np.ones((8, 1)))
 
 
 def oracle_deflated_eigenvalues(A, indicators):
@@ -206,10 +207,10 @@ def test_ring_route_matches_dense_oracle(name, monkeypatch):
 def test_dense_route_serves_a_ring_that_is_no_laplacian(op_256, monkeypatch):
     """A + I has the ring pattern but nonzero row sums: the dense route."""
     grid, geom, A = op_256
-    B = A + np.eye(grid.n)
+    B = A.toarray() + np.eye(grid.n)
     ind = lo.component_indicators(grid, geom)
     monkeypatch.setattr(lo, "_ring_spectrum", None)
-    _, eigs, r = lo.spectrum_deflated(B, ind)
+    _, eigs, r = lo.spectrum_deflated(csr_matrix(B), ind)
     assert np.max(np.abs(eigs - oracle_deflated_eigenvalues(B, ind))) <= 1e-12 * np.max(np.abs(B))
 
 
@@ -244,27 +245,36 @@ def test_tiny_jump_sets_agree_with_the_oracle_or_refuse(n, jumps, values, eps):
     assert np.max(np.abs(eigs - want)) <= 1e-12 * np.max(np.abs(A))
 
 
-def traced_peak_bytes(fn, *args):
+def traced_peak_bytes(fn):
+    fn()  # its first call's imports stay outside the trace
     tracemalloc.start()
     try:
-        fn(*args)
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_ring_route_allocates_no_dense_matrix():
-    grid, geom, A = build(2048)
-    peak = traced_peak_bytes(lo.spectrum_deflated, A, lo.component_indicators(grid, geom))
-    assert peak < 8e6  # A itself is 33.6 MB
+    """What `fracpm spectrum` runs after set-up, at spectrum-1d's size."""
+    grid = PeriodicGrid(1, 2048)
+    geom = offgrid(JumpSet1D.symmetric_step(), grid)
+    faces, ind = lo.face_alpha(grid, geom, P7), lo.component_indicators(grid, geom)
+
+    def spectrum():
+        A = lo.assemble(grid, faces)
+        r = lo.spectrum_deflated(A, ind)[2]
+        return lo.kernel_dim(A, r), lo.matrix_norm(A)
+
+    assert traced_peak_bytes(spectrum) < 8e6  # a dense A would be 33.6 MB
 
 
 def test_dense_route_holds_one_copy_of_the_matrix():
     grid = PeriodicGrid(2, 32)
     geom = offgrid(JumpSet2D(Circle((0.0, 0.0), 0.5)), grid)
-    A = lo.assemble(grid, lo.face_alpha(grid, geom, P7))
-    peak = traced_peak_bytes(lo.spectrum_deflated, A, lo.component_indicators(grid, geom))
-    assert peak <= 2.5 * A.size * 8
+    faces, ind = lo.face_alpha(grid, geom, P7), lo.component_indicators(grid, geom)
+    peak = traced_peak_bytes(lambda: lo.spectrum_deflated(lo.assemble(grid, faces), ind))
+    assert peak <= 2.0 * grid.n**4 * 8  # two N x N copies, N = n**2
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
@@ -321,8 +331,9 @@ def test_dense_assembly_guards():
         lo.assemble(PeriodicGrid(1, 64), np.ones(63))
     for grid in (PeriodicGrid(1, lo.DENSE_MAX_NODES + 2), PeriodicGrid(2, 82)):
         faces = np.ones((grid.dim, *grid.shape))
+        ind = np.ones((grid.n**grid.dim, 1))
         with pytest.raises(ConfigError, match=f"n\\*\\*dim <= {lo.DENSE_MAX_NODES}"):
-            lo.assemble(grid, faces)
+            lo.spectrum_deflated(lo.assemble(grid, faces), ind)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 512), (2, 32)])
@@ -331,9 +342,9 @@ def test_iterative_spectrum_matches_dense(dim, n):
     grid = PeriodicGrid(dim, n)
     base = JumpSet1D.symmetric_step() if dim == 1 else JumpSet2D(Circle((0.0, 0.0), 0.5))
     geom = offgrid(base, grid)
-    A_sparse = lo.assemble_sparse(grid, lo.face_alpha(grid, geom, P7))
+    A_sparse = lo.assemble(grid, lo.face_alpha(grid, geom, P7))
     ind = lo.component_indicators(grid, geom)
-    gamma_dense, eigs_dense, r = lo.spectrum_deflated(A_sparse.toarray(), ind)
+    gamma_dense, eigs_dense, r = lo.spectrum_deflated(A_sparse, ind)
     gamma_it, eigs_it, r_it = lo.spectrum_deflated_iterative(A_sparse, ind)
     assert r_it == r and gamma_it == eigs_it[0]
     want = eigs_dense[r : r + 10]
@@ -347,8 +358,8 @@ def dense_kernel_dim(A):
 
 
 def test_kernel_dim_matches_dense_count(op_512):
-    grid, geom, A = op_512
-    A_sparse = lo.assemble_sparse(grid, lo.face_alpha(grid, geom, P7))
+    A_sparse = op_512[2]
+    A = A_sparse.toarray()
     assert lo.kernel_dim(A_sparse, 2) == dense_kernel_dim(A) == 1
     assert lo.matrix_norm(A_sparse) == lo.matrix_norm(A) == np.max(np.abs(A))
 
@@ -374,7 +385,7 @@ def test_constant_coefficient_spectrum_closed_form():
     for dim, n in ((1, 64), (2, 16)):
         grid = PeriodicGrid(dim, n)
         faces = np.ones(n) if dim == 1 else [np.ones(grid.shape) for _ in range(2)]
-        eigs = np.sort(np.linalg.eigvalsh(lo.assemble(grid, faces)))
+        eigs = np.sort(np.linalg.eigvalsh(lo.assemble(grid, faces).toarray()))
         assert np.max(np.abs(eigs - lo.fd_laplacian_eigenvalues(grid))) < 1e-10
 
 

@@ -77,7 +77,8 @@ TINY = {
 def test_a_tiny_run_records_every_layer_of_its_workload(name, tmp_path):
     """perfbench's traced child process on a small copy of each workload's
     config records a span for every layer that workload must cross; the
-    fracfield run builds one step-field evaluator."""
+    fracfield run builds one step-field evaluator, and the spectrum run's
+    matrix is sparse: a dense n x n matrix would take 8 n**2 bytes."""
     workload = workloads.WORKLOADS[name]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_tiny(workload.config(7), **TINY[name]), encoding="utf-8")
@@ -95,3 +96,5 @@ def test_a_tiny_run_records_every_layer_of_its_workload(name, tmp_path):
     assert layers.missing_layers(spans, workload.layers) == []
     if workload.command == "fracfield":
         assert layers.layer_metrics(spans)["curves.ewald_builds"] == 1
+    if workload.command == "spectrum":
+        assert layers.layer_metrics(spans)["linearop.matrix_bytes"] < 8 * TINY[name]["grid.n"] ** 2
