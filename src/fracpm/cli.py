@@ -6,9 +6,9 @@
     fracpm verify    [--out DIR] [--list]
 
 Exit codes are part of the contract: 0 success, 1 verification failure,
-2 configuration/geometry, 3 excluded parameter, 4 blow-up, 5 linear
-algebra. All artifacts are written atomically; rerunning a command with
-the same config and seed reproduces the data files byte for byte.
+2 configuration, geometry or output path, 3 excluded parameter, 4 blow-up,
+5 linear algebra. All artifacts are written atomically; rerunning a command
+with the same config and seed reproduces the data files byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -32,18 +31,16 @@ from .spectral import alpha_from_fracfield
 def _prepared(cfg: RunConfig):
     """Grid and collision-shifted geometry of a config."""
     grid = cfg.build_grid()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        geom, _ = ensure_offgrid(cfg.build_geometry(), grid)
-    for item in caught:
-        print(f"note: {item.message}", file=sys.stderr)
+    geom, note = ensure_offgrid(cfg.build_geometry(), grid)
+    if note:
+        print(f"note: {note}", file=sys.stderr)
     return grid, geom
 
 
 def cmd_fracfield(cfg: RunConfig, outdir: str) -> int:
     grid, geom = _prepared(cfg)
     p = cfg.build_params(forbid_half=cfg.sign_check)
-    d = probe_distances(*cfg.probe_window())
+    d = probe_distances(cfg.probes_d_min, cfg.probes_d_max, cfg.probes_count)
     pts = geom.outward_point(d, angle=cfg.probes_angle)
     # distance along an outward ray falls behind d for good once it falls
     reach = float(geom.distance(*pts[-1:].T)[0])
@@ -261,6 +258,10 @@ def main(argv=None) -> int:
     except FracpmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an output path that cannot be made or written
+        path = exc.filename2 or exc.filename
+        print(f"error: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

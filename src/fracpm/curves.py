@@ -142,15 +142,16 @@ class Circle(_ClosedCurve):
 
 
 class SplineCurve(_ClosedCurve):
-    """Closed cubic-spline curve through given points (periodic parameter)."""
+    """Closed cubic-spline curve through at least 4 given points (periodic
+    parameter); fewer is a ConfigError."""
 
     def __init__(self, points):
         from scipy.interpolate import CubicSpline
         from scipy.spatial import cKDTree
 
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-            raise ConfigError("spline curve needs >= 3 points of shape (m, 2)")
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
+            raise ConfigError("a spline curve needs at least 4 points, shaped (m, 2)")
         if np.any(np.all(pts == np.roll(pts, 1, axis=0), axis=1)):  # a zero-length piece
             raise ConfigError("spline curve needs consecutive points to differ")
         closed = np.vstack([pts, pts[:1]])

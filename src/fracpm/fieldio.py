@@ -29,11 +29,16 @@ _FIELD_DTYPE = np.dtype("<f8")
 
 def atomic_write_bytes(path: str, payload: bytes):
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_field(path: str, field: ScalarField, epsilon: float, kind: str):

@@ -22,7 +22,6 @@ slope, power plus constant, exponential decay rate), all numpy only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +155,8 @@ def ensure_offgrid(geom, grid: PeriodicGrid):
     that clears them all (a ConfigError if none does). In 1D the nodes and
     faces tile the h/2 lattice (the default step at +-1/2 collides on every
     power-of-two grid) and h/4 lands on the h/4 sub-lattice, which can never
-    collide. Returns (possibly shifted geometry, shifted: bool) and warns
-    on shift.
+    collide. Returns (geometry, note): the shifted geometry and a message
+    naming the shift, or the input and None when nothing collides.
     """
     nodes = grid.nodes()
     half = grid.h / 2.0
@@ -168,18 +167,14 @@ def ensure_offgrid(geom, grid: PeriodicGrid):
         return any(np.min(g.distance(*pts)) < COLLISION_TOL for pts in (nodes, *faces))
 
     if not collides(geom):
-        return geom, False
+        return geom, None
     for name, frac in (("h/4", 0.25), ("h/8", 0.125), ("3h/8", 0.375)):
         q = frac * grid.h
         moved = geom.shifted(*[q] * grid.dim)
         if not collides(moved):
             shift = ", ".join([name] * grid.dim)
-            warnings.warn(
-                f"jump set touches the node/face lattice; translating by ({shift})"
-                f" = {q:g} per axis",
-                stacklevel=2,
-            )
-            return moved, True
+            return moved, (f"jump set touches the node/face lattice; translating by ({shift})"
+                           f" = {q:g} per axis")
     raise ConfigError(
         "jump set touches the node/face lattice after each of the shifts"
         " h/4, h/8 and 3h/8 along every axis; move it or change grid.n"

@@ -31,6 +31,12 @@ from .oracles import SIGN_WINDOW
 MAX_PROBES = 4096  # probes.count ceiling
 
 
+def _as_str(key, raw):
+    if "\0" in raw:  # no path or name holds one; os calls raise ValueError on it
+        raise ConfigError(f"{key}: a NUL character is not allowed")
+    return raw
+
+
 def _as_int(key, raw):
     try:
         return int(raw)
@@ -80,7 +86,7 @@ class RunConfig:
     epsilon: float
     seed: int = 0
     output: str = "out"
-    grid_n: int = 0  # 0 = dimension-dependent default
+    grid_n: int | None = None  # None = dimension-dependent default
     delta: float = 0.1
     jumps: tuple = (-0.5, 0.5)
     jump_values: tuple = (1.0, 0.0)
@@ -105,7 +111,7 @@ class RunConfig:
         if self.dimension not in (1, 2):
             raise ConfigError("dimension must be 1 or 2")
         FracParams(self.epsilon)  # epsilon's range
-        if self.grid_n == 0:
+        if self.grid_n is None:
             self.grid_n = 512 if self.dimension == 1 else 128
         if self.perturbation_kind not in ("sine", "mode", "noise", "none", "file"):
             raise ConfigError(
@@ -159,45 +165,38 @@ class RunConfig:
         if self.curve == "circle":
             base = Circle(self.center, self.radius)
         else:
-            if len(self.spline_points) < 4:
-                raise ConfigError("a spline curve needs at least 4 points")
             base = SplineCurve(self.spline_points)
         return JumpSet2D(base, inside=self.inside, outside=self.outside)
 
-    def probe_window(self):
-        return self.probes_d_min, self.probes_d_max, self.probes_count
 
-
-_SCALAR_KEYS = {
+# key -> (attribute, converter); `solver.` keys go to SolverConfig, the rest to RunConfig
+_KEYS = {
     "dimension": ("dimension", _as_int),
     "epsilon": ("epsilon", _as_float),
     "seed": ("seed", _as_int),
-    "output": ("output", str),
+    "output": ("output", _as_str),
     "grid.n": ("grid_n", _as_int),
     "geometry.delta": ("delta", _as_float),
     "geometry.jumps": ("jumps", _as_floats),
     "geometry.values": ("jump_values", _as_floats),
-    "geometry.curve": ("curve", str),
+    "geometry.curve": ("curve", _as_str),
     "geometry.center": ("center", _as_floats),
     "geometry.radius": ("radius", _as_float),
     "geometry.points": ("spline_points", _as_points),
     "geometry.inside": ("inside", _as_float),
     "geometry.outside": ("outside", _as_float),
-    "perturbation.kind": ("perturbation_kind", str),
+    "perturbation.kind": ("perturbation_kind", _as_str),
     "perturbation.amplitude": ("perturbation_amplitude", _as_float),
     "perturbation.taper": ("perturbation_taper", _as_bool),
-    "perturbation.file": ("perturbation_file", str),
+    "perturbation.file": ("perturbation_file", _as_str),
     "probes.d_min": ("probes_d_min", _as_float),
     "probes.d_max": ("probes_d_max", _as_float),
     "probes.count": ("probes_count", _as_int),
     "probes.angle": ("probes_angle", _as_float),
     "probes.sign_check": ("sign_check", _as_bool),
-}
-
-_SOLVER_KEYS = {
     "solver.dt": ("dt", _as_float),
     "solver.t_final": ("t_final", _as_float),
-    "solver.scheme": ("scheme", str),
+    "solver.scheme": ("scheme", _as_str),
     "solver.tolerance": ("tolerance", _as_float),
     "solver.max_linear_iter": ("max_linear_iter", _as_int),
     "solver.snapshot_stride": ("snapshot_stride", _as_int),
@@ -217,16 +216,9 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip().lower()
-        raw = raw.strip()
-        if key in _SCALAR_KEYS:
-            attr, conv = _SCALAR_KEYS[key]
-            if conv is str:
-                scalars[attr] = raw
-            else:
-                scalars[attr] = conv(key, raw)
-        elif key in _SOLVER_KEYS:
-            attr, conv = _SOLVER_KEYS[key]
-            solver_kw[attr] = raw if conv is str else conv(key, raw)
+        if key in _KEYS:
+            attr, conv = _KEYS[key]
+            (solver_kw if key.startswith("solver.") else scalars)[attr] = conv(key, raw.strip())
         else:
             unknown.append(f"line {lineno}: {key}")
     if unknown:
@@ -234,16 +226,13 @@ def parse_config_text(text: str) -> RunConfig:
     for required in ("dimension", "epsilon"):
         if required not in scalars:
             raise ConfigError(f"missing required key {required}")
-    try:
-        solver = SolverConfig(**solver_kw)
-    except TypeError as exc:
-        raise ConfigError(f"bad solver settings: {exc}")
-    return RunConfig(solver=solver, **scalars)
+    return RunConfig(solver=SolverConfig(**solver_kw), **scalars)
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not text
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    return parse_config_text(text)

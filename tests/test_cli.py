@@ -5,6 +5,7 @@ the artifacts a user would actually look at.
 """
 
 import json
+import sys
 import time
 
 import numpy as np
@@ -617,3 +618,68 @@ def test_every_command_reruns_byte_identically(tmp_path, command, dim):
     assert names and names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_grid_n_zero_exits_2_instead_of_the_default_grid(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_1D.replace("grid.n = 256", "grid.n = 0"))
+    assert main(["fracfield", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: grid size must be even and >= 4, got 0"]
+
+
+def one_error_line(capsys):
+    """The one stderr line besides the collision `note:`, an `error:` line."""
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if not ln.startswith("note: ")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("line, out, named", [
+    ("output = \n", None, ""),
+    ("", "{taken}", "{taken}"),
+    pytest.param("output = /proc/nope\n", None, "/proc/nope", marks=pytest.mark.skipif(
+        sys.platform != "linux", reason="only Linux's /proc refuses new directories")),
+], ids=("empty-output", "out-is-a-file", "proc"))
+def test_unusable_output_path_exits_2_naming_it(tmp_path, capsys, line, out, named):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["fracfield", "--config", write_cfg(tmp_path, BASE_1D + line)]
+    if out:
+        argv += ["--out", out.format(taken=taken)]
+    assert main(argv) == 2
+    assert repr(named.format(taken=taken)) in one_error_line(capsys)
+
+
+def test_verify_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["verify", "--out", str(taken)]) == 2
+    assert repr(str(taken)) in one_error_line(capsys)
+
+
+def test_failed_write_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "eigenvalues.csv").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, BASE_1D.replace("grid.n = 256", "grid.n = 16"))
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "eigenvalues.csv" in one_error_line(capsys)
+    assert [p.name for p in out.iterdir()] == ["eigenvalues.csv"]
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(BASE_1D.encode() + "# café\n".encode("latin-1"))
+    assert main(["fracfield", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"cannot read config {path}: " in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_with_a_byte_order_mark_runs(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_1D.replace("grid.n = 256", "grid.n = 16"), encoding="utf-8-sig")
+    assert main(["fracfield", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_nul_character_in_a_config_string_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_1D + "output = o\0x\n")
+    assert main(["fracfield", "--config", cfg]) == 2
+    assert "output: a NUL character is not allowed" in one_error_line(capsys)

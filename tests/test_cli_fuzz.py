@@ -3,11 +3,14 @@
 Hypothesis writes tiny configs (1D n <= 64, 2D n <= 16, at most 20 steps,
 circles and splines) whose numbers mix ordinary values with extreme finite
 ones and coordinates outside the box, and runs each in-process through
-`cli.main`. Whatever the config, the run must return 0, 2, 3, 4 or 5 without
-raising, warn through nothing but its `note:` lines, and print one `error:`
-line when it fails. The pinned examples are configs that once ended in a
-wrong field, a MemoryError, a misleading message, a traceback or a raw
-RuntimeWarning.
+`cli.main`. Some configs hold a comment that is not UTF-8, and some name
+their output directory in `output` instead of `--out`: `""` or an existing
+file in the test's temp dir (`$TMP/run.cfg`), both unusable, so no run
+writes to a relative path. Whatever the config, the run must return 0, 2,
+3, 4 or 5 without raising, warn through nothing but its `note:` lines, and
+print one `error:` line when it fails. The pinned examples are configs that
+once ended in a wrong field, a MemoryError, a misleading message, a
+traceback or a raw RuntimeWarning.
 """
 
 import contextlib
@@ -40,9 +43,15 @@ def sometimes(values):
     return st.integers(0, 3).flatmap(lambda i: values if i == 0 else st.none())
 
 
+def rarely(values):
+    """values one time in eight, else None: an input that ends the run in
+    the loader or at the output directory, so most runs still compute."""
+    return st.integers(0, 7).flatmap(lambda i: values if i == 7 else st.none())
+
+
 @st.composite
 def configs(draw):
-    """(command, config text) of a tiny run."""
+    """(command, config bytes) of a tiny run."""
     dim = draw(st.sampled_from((1, 2)))
     keys = {
         "dimension": str(dim),
@@ -84,23 +93,33 @@ def configs(draw):
         value = draw(sometimes(values))
         if value is not None:
             keys[key] = value
+    output = draw(rarely(st.sampled_from(("", "$TMP/run.cfg"))))
+    if output is not None:
+        keys["output"] = output
     keys["solver.dt"] = repr(dt)
     keys["solver.t_final"] = repr(steps * dt)
-    text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    text = "".join(f"{key} = {value}\n" for key, value in keys.items()).encode()
+    text += draw(rarely(st.just(b"# caf\xe9, Latin-1\n"))) or b""
     return draw(st.sampled_from(("fracfield", "evolve", "spectrum"))), text
 
 
 def run(command, text):
     """Exit code and stderr lines of one in-process run; each warning that
-    escapes the command counts as a line of its own."""
+    escapes the command counts as a line of its own. `--out` is given unless
+    the config sets `output`; `$TMP` in the config is the temp dir."""
+    if isinstance(text, str):
+        text = text.encode()
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.replace(b"$TMP", tmp.encode()))
+        argv = [command, "--config", path]
+        if b"\noutput = " not in b"\n" + text:
+            argv += ["--out", os.path.join(tmp, "out")]
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+            code = main(argv)
     return code, stderr.getvalue().splitlines() + [f"warning: {w.message}" for w in caught]
 
 
@@ -134,6 +153,10 @@ def run(command, text):
 @example(case=("evolve", "dimension = 1\nepsilon = 0.3\ngrid.n = 512\nperturbation.kind = noise\n"
                "solver.dt = 2e-3\nsolver.t_final = 2e-3\nsolver.tolerance = 5e-324\n"
                "solver.max_linear_iter = 100000000\n"))
+@example(case=("fracfield", b"dimension = 1\nepsilon = 0.7\ngrid.n = 16\n# caf\xe9, Latin-1\n"))
+@example(case=("spectrum", "dimension = 1\nepsilon = 0.7\ngrid.n = 16\noutput = \n"))
+@example(case=("evolve", "dimension = 1\nepsilon = 0.7\ngrid.n = 16\noutput = $TMP/run.cfg\n"
+               "solver.dt = 1e-3\nsolver.t_final = 1e-3\n"))
 def test_every_config_ends_in_a_documented_exit(case):
     command, text = case
     code, lines = run(command, text)

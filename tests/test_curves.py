@@ -469,3 +469,9 @@ def test_jump_set_adapter_rejects_degenerate_values(circle):
         JumpSet2D(circle, 1.0, 1.0)
     with pytest.raises(ConfigError):
         JumpSet2D(circle, np.nan, 0.0)
+
+
+def test_spline_needs_four_knots():
+    """The knot minimum lives in SplineCurve itself, not only in the config."""
+    with pytest.raises(ConfigError, match="at least 4 points"):
+        SplineCurve([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0]])

@@ -92,3 +92,11 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     fieldio.write_field(str(tmp_path / "x.field"), f, 0.3, "w")
     fieldio.write_json(str(tmp_path / "r.json"), {"k": 1})
     assert sorted(os.listdir(tmp_path)) == ["r.json", "x.field"]
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        fieldio.atomic_write_bytes(str(target), b"payload")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -231,27 +232,40 @@ def test_ensure_offgrid_1d_checks_faces_as_well_as_nodes():
     h = grid.h
     on_face = JumpSet1D((-1.0 + 3.5 * h, 0.3), (1.0, 0.0))
     assert np.min(on_face.distance(grid.axis_nodes())) > 0.25 * h
-    with pytest.warns(UserWarning, match=r"translating by \(h/4\)"):
-        moved, shifted = ensure_offgrid(on_face, grid)
-    assert shifted and moved.positions[0] == -1.0 + 3.75 * h
+    moved, note = ensure_offgrid(on_face, grid)
+    assert re.search(r"translating by \(h/4\)", note)
+    assert moved.positions[0] == -1.0 + 3.75 * h
 
     quarter = JumpSet1D((-1.0 + 3.25 * h, -1.0 + 10.75 * h), (1.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        again, shifted2 = ensure_offgrid(quarter, grid)
-    assert not shifted2 and again is quarter
+        again, note2 = ensure_offgrid(quarter, grid)
+    assert note2 is None and again is quarter
+
+
+def test_ensure_offgrid_returns_its_note_and_warns_nothing():
+    """The shift is reported once, as the returned note: no Python warning
+    escapes, for a shifted set or an untouched one."""
+    grid = PeriodicGrid(1, 16)
+    h = grid.h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, note = ensure_offgrid(JumpSet1D((-1.0 + 3.5 * h, 0.3), (1.0, 0.0)), grid)
+        _, none = ensure_offgrid(JumpSet1D((-1.0 + 3.25 * h, -1.0 + 10.75 * h), (1.0, 0.0)), grid)
+    assert note == "jump set touches the node/face lattice; translating by (h/4) = 0.03125 per axis"
+    assert none is None
 
 
 def test_ensure_offgrid_rechecks_each_shift():
     """A shift that lands a jump on the lattice is not taken: the next of
-    h/4, h/8 and 3h/8 is, and the warning names it; if all three collide
+    h/4, h/8 and 3h/8 is, and the note names it; if all three collide
     the jump set is rejected."""
     grid = PeriodicGrid(1, 16)
     h = grid.h
     quarter_off = JumpSet1D((-h / 4.0, 0.0), (1.0, 0.0))  # h/4 moves -h/4 onto 0
-    with pytest.warns(UserWarning, match=r"translating by \(h/8\) = 0.015625 "):
-        moved, shifted = ensure_offgrid(quarter_off, grid)
-    assert shifted and moved.positions == (-h / 8.0, h / 8.0)
+    moved, note = ensure_offgrid(quarter_off, grid)
+    assert re.search(r"translating by \(h/8\) = 0.015625 ", note)
+    assert moved.positions == (-h / 8.0, h / 8.0)
 
     stuck = JumpSet1D((-3.0 * h / 8.0, -h / 4.0, -h / 8.0, 0.0), (1.0, 0.0, 1.0, 0.0))
     with pytest.raises(ConfigError, match="h/4, h/8 and 3h/8"):
@@ -261,9 +275,8 @@ def test_ensure_offgrid_rechecks_each_shift():
 def test_ensure_offgrid_shifts_by_quarter_cell():
     grid = PeriodicGrid(1, 256)
     geom = JumpSet1D.symmetric_step()
-    with pytest.warns(UserWarning):
-        moved, shifted = ensure_offgrid(geom, grid)
-    assert shifted
+    moved, note = ensure_offgrid(geom, grid)
+    assert re.search(r"translating by \(h/4\)", note)
     assert np.allclose(
         np.asarray(moved.positions) - np.asarray(geom.positions),
         grid.h / 4.0,
@@ -272,7 +285,7 @@ def test_ensure_offgrid_shifts_by_quarter_cell():
     # second pass is a no-op
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        again, shifted2 = ensure_offgrid(moved, grid)
-    assert not shifted2
+        again, note2 = ensure_offgrid(moved, grid)
+    assert note2 is None
     assert again is moved
 

@@ -143,7 +143,7 @@ def test_probe_window_ordering_enforced():
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "probes.d_min = 0.01\nprobes.d_max = 0.001\n")
     cfg = parse_config_text(MINIMAL + "probes.d_min = 1e-3\nprobes.d_max = 5e-3\n")
-    assert cfg.probe_window() == (1e-3, 5e-3, cfg.probes_count)
+    assert (cfg.probes_d_min, cfg.probes_d_max, cfg.probes_count) == (1e-3, 5e-3, 32)
 
 
 @pytest.mark.parametrize("count", ["0", "-1", "4097", "10000000000"])
